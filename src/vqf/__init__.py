@@ -3,7 +3,7 @@
 Pipeline: encode an odd semiprime as a pseudo-Boolean clause system,
 preprocess it classically, turn the squared-clause cost into a diagonal
 spin Hamiltonian under one of four transformations, compile a QAOA ansatz,
-train it on a noisy trajectory simulator, and score each transformation's
+train it on a noisy simulator, and score each transformation's
 noise resilience.
 """
 

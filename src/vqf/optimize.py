@@ -1,7 +1,7 @@
 """Differential-evolution training of QAOA angles.
 
-The training objective is the shot-averaged cost returned by the
-trajectory sampler, so it is stochastic by construction.  Instead of
+The training objective is the shot-averaged cost returned by the noisy
+sampler, so it is stochastic by construction.  Instead of
 drawing fresh shots on every call we pin one sampling seed per
 (generation, member) slot; the whole run is then deterministic and
 regression-testable, at the price of a small frozen shot-noise bias.

@@ -1,13 +1,25 @@
-"""Noisy statevector simulation by stochastic trajectories.
+"""Noisy circuit sampling: an exact density matrix or stochastic trajectories.
 
-Each shot evolves its own pure state: after every gate, depolarizing noise
-may insert a random Pauli, and each participating qubit may undergo an
-amplitude-damping jump (probability proportional to its excited-state
-population, the standard Monte-Carlo wavefunction rule, so the trajectory
-ensemble reproduces the analytic channel) followed by a pure-dephasing Z
-flip.  Shots are batched per 256-shot block into a (rows, 2^n) array and
-all randomness comes from counter-keyed substreams, so results are
-byte-identical regardless of thread count or shot budget.
+Both engines apply the same channels after every gate (depolarizing noise,
+then amplitude damping and pure dephasing on each participating qubit) and
+draw i.i.d. shots from the resulting output distribution, so they differ
+only in cost and in which bits a given seed yields.
+
+* The density-matrix engine evolves rho as one vector on a doubled
+  2n-qubit register and draws every shot from diag(rho).  It runs when
+  4^n fits `_AMP_BUDGET` and the shot count m is at least 2^(n+1); one
+  pass then costs less than the trajectories it replaces.
+* The trajectory engine evolves one pure state per shot: depolarizing
+  noise may insert a random Pauli, each qubit may undergo an
+  amplitude-damping jump (probability proportional to its excited-state
+  population, the standard Monte-Carlo wavefunction rule, so the ensemble
+  reproduces the channel) followed by a pure-dephasing Z flip.  Shots are
+  batched per 256-shot block into a (rows, 2^n) array.
+
+The engine is chosen from (n, m) alone and all randomness comes from
+counter-keyed substreams, so results are byte-identical regardless of
+thread count (`VQF_THREADS`) or chunking.  The noiseless case collapses
+to one statevector pass.
 """
 
 from __future__ import annotations
@@ -319,6 +331,15 @@ def _noise_active(nm: NoiseModel) -> Tuple[bool, bool]:
     return gate, deco
 
 
+def _channel_rates(nm: NoiseModel) -> Tuple[Dict[bool, float], ...]:
+    """Scaled depolarizing, damping and dephasing rates, keyed by is-CNOT."""
+    s = nm.scale
+    probs = {False: s * nm.p1, True: s * nm.p2}
+    gammas = {False: s * nm.damp_gamma(nm.dur1_ns), True: s * nm.damp_gamma(nm.dur2_ns)}
+    flips = {False: s * nm.dephase_prob(nm.dur1_ns), True: s * nm.dephase_prob(nm.dur2_ns)}
+    return probs, gammas, flips
+
+
 def _evolve_block(circuit: BoundCircuit, nm: NoiseModel, draws: np.ndarray,
                   plan: _DrawPlan) -> np.ndarray:
     """Run `draws.shape[0]` trajectories; returns (rows, 2^n) states.
@@ -332,10 +353,7 @@ def _evolve_block(circuit: BoundCircuit, nm: NoiseModel, draws: np.ndarray,
     states[:, 0] = 1.0
     mass = np.ones(rows)
     gate_on, deco_on = _noise_active(nm)
-    s = nm.scale
-    probs = {False: s * nm.p1, True: s * nm.p2}
-    gammas = {False: s * nm.damp_gamma(nm.dur1_ns), True: s * nm.damp_gamma(nm.dur2_ns)}
-    flips = {False: s * nm.dephase_prob(nm.dur1_ns), True: s * nm.dephase_prob(nm.dur2_ns)}
+    probs, gammas, flips = _channel_rates(nm)
     for g, base in zip(circuit.gates, plan.offsets):
         _apply_unitary(states, n, g)
         two = g.kind == "CNOT"
@@ -380,7 +398,8 @@ def simulate_statevector(circuit: BoundCircuit) -> np.ndarray:
 
 
 def run_trajectory(circuit: BoundCircuit, nm: NoiseModel, seed: Seed) -> np.ndarray:
-    """One stochastic trajectory; equals shot 0 of `sample` at this seed."""
+    """One stochastic trajectory; equals shot 0 of the trajectory sampler
+    (`_sample_trajectories`) at this seed, whichever engine `sample` picks."""
     _check_size(circuit)
     seed_t = _seed_tuple(seed)
     plan = _DrawPlan(circuit)
@@ -395,6 +414,105 @@ def run_trajectory(circuit: BoundCircuit, nm: NoiseModel, seed: Seed) -> np.ndar
 
 def _block_rows(block: int, m: int) -> int:
     return min(SHOT_BLOCK, m - block * SHOT_BLOCK)
+
+
+def _draw(probs: np.ndarray, m: int, seed_t: Tuple[int, ...]) -> np.ndarray:
+    """m basis indices by inverse CDF over the unnormalized `probs`.
+
+    Shot j's uniform comes from substream (*seed, j // 256, 1), the same
+    measurement stream the trajectory sampler uses.
+    """
+    cum = np.cumsum(probs)
+    u = np.concatenate([
+        np.random.default_rng([*seed_t, block, 1]).random(_block_rows(block, m))
+        for block in range((m + SHOT_BLOCK - 1) // SHOT_BLOCK)])
+    return np.minimum(np.searchsorted(cum, u * cum[-1], side="right"),
+                      probs.size - 1)
+
+
+def _uses_density(n: int, m: int) -> bool:
+    """Engine rule for noisy sampling, from circuit width and shot count only.
+
+    A density-matrix pass does 4^n work per gate, a trajectory 2^n.  Timed
+    on one thread for n = 3..10, one pass cost as much as 2^n to 2^(n+1)
+    trajectories, so from m = 2^(n+1) on it is never the slower engine.
+    The rule ignores VQF_THREADS so that sampled bits cannot depend on it.
+    """
+    return 4 ** n <= _AMP_BUDGET and 2 ** (n + 1) <= m
+
+
+def _conjugate(g: Gate, n: int) -> Gate:
+    """conj(U) of gate g, on the bra half of the doubled register."""
+    qubits = [q + n for q in g.qubits]
+    if g.angle is None:  # H and CNOT are real
+        return Gate(g.kind, qubits)
+    return Gate(g.kind, qubits, angle=-g.angle)
+
+
+def _block(rho_t: np.ndarray, n: int, qubits: Sequence[int],
+           ket: int, bra: int) -> np.ndarray:
+    """View of rho with the ket bits of `qubits` fixed to `ket` and their
+    bra bits to `bra` (bit j of each selects qubits[j])."""
+    idx: List[Union[int, slice]] = [slice(None)] * (2 * n)
+    for j, q in enumerate(qubits):
+        idx[2 * n - 1 - q] = (ket >> j) & 1
+        idx[n - 1 - q] = (bra >> j) & 1
+    return rho_t[(*idx, ...)]  # the Ellipsis keeps a 0-d result a view
+
+
+def _depolarize_density(rho_t: np.ndarray, n: int, qubits: Sequence[int],
+                        prob: float) -> None:
+    """rho -> (1 - lam) rho + lam (I/d (x) Tr_qubits rho), lam = prob d^2/(d^2 - 1).
+
+    Equal to (1 - prob) rho + prob/(d^2 - 1) * (sum over the nontrivial
+    Paulis P of P rho P), the channel the trajectories sample.
+    """
+    d = 1 << len(qubits)
+    lam = prob * d * d / (d * d - 1)
+    diag = [_block(rho_t, n, qubits, x, x) for x in range(d)]
+    mixed = sum(diag) * (lam / d)
+    rho_t *= 1.0 - lam
+    for b in diag:
+        b += mixed
+
+
+def _relax_density(rho_t: np.ndarray, n: int, k: int, gamma_s: float,
+                   pz: float) -> None:
+    """Amplitude damping then dephasing on qubit k (Kraus forms)."""
+    r00 = _block(rho_t, n, (k,), 0, 0)
+    r11 = _block(rho_t, n, (k,), 1, 1)
+    r00 += gamma_s * r11
+    r11 *= 1.0 - gamma_s
+    coherence = sqrt(1.0 - gamma_s) * (1.0 - 2.0 * pz)
+    for ket, bra in ((0, 1), (1, 0)):
+        off = _block(rho_t, n, (k,), ket, bra)
+        off *= coherence
+
+
+def _evolve_density(circuit: BoundCircuit, nm: NoiseModel) -> np.ndarray:
+    """Exact output density matrix as one flat vector of 4^n entries.
+
+    Entry ket + (bra << n) holds rho[ket, bra]: qubits 0..n-1 of the
+    doubled register carry the ket, qubits n..2n-1 the bra.  U rho U^dagger
+    is U on the ket qubits and conj(U) on the bra qubits.  Channels,
+    masks, scale and per-gate order mirror `_evolve_block`.
+    """
+    n = circuit.n_qubits
+    rho = np.zeros((1, 1 << (2 * n)), dtype=np.complex128)
+    rho[0, 0] = 1.0
+    rho_t = rho.reshape((2,) * (2 * n))
+    gate_on, deco_on = _noise_active(nm)
+    probs, gammas, flips = _channel_rates(nm)
+    for g in circuit.gates:
+        _apply_unitary(rho, 2 * n, g)
+        _apply_unitary(rho, 2 * n, _conjugate(g, n))
+        two = g.kind == "CNOT"
+        if gate_on and probs[two] > 0:
+            _depolarize_density(rho_t, n, g.qubits, probs[two])
+        if deco_on:
+            for k in g.qubits:
+                _relax_density(rho_t, n, k, gammas[two], flips[two])
+    return rho[0]
 
 
 def _sample_chunk_noisy(circuit: BoundCircuit, nm: NoiseModel, plan: _DrawPlan,
@@ -424,42 +542,51 @@ def _chunk_blocks(n_blocks: int, m: int, n_qubits: int,
     return groups
 
 
-def sample(circuit: BoundCircuit, nm: NoiseModel, m: int, seed: Seed) -> SampleSet:
-    """M shots, one fresh trajectory per shot, measured once each.
+def _sample_trajectories(circuit: BoundCircuit, nm: NoiseModel, m: int,
+                         seed_t: Tuple[int, ...], threads: int) -> np.ndarray:
+    """Basis index of each of m shots, one fresh trajectory per shot.
 
-    Shot j draws from substreams keyed (seed, j // 256); the result is a
-    deterministic function of (circuit, nm, m, seed) independent of thread
-    count (VQF_THREADS) and chunking.
+    Shot j draws from substreams keyed (seed, j // 256); the result does
+    not depend on `threads` or on chunking.
+    """
+    plan = _DrawPlan(circuit)
+    n_blocks = (m + SHOT_BLOCK - 1) // SHOT_BLOCK
+    groups = _chunk_blocks(n_blocks, m, circuit.n_qubits, threads)
+    if threads > 1 and len(groups) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            futures = [pool.submit(_sample_chunk_noisy, circuit, nm, plan,
+                                   seed_t, grp) for grp in groups]
+            return np.concatenate([f.result() for f in futures])
+    return np.concatenate([_sample_chunk_noisy(circuit, nm, plan, seed_t, grp)
+                           for grp in groups])
+
+
+def sample(circuit: BoundCircuit, nm: NoiseModel, m: int, seed: Seed) -> SampleSet:
+    """M i.i.d. shots of the circuit under noise model `nm`, measured once each.
+
+    The engine follows from the input alone: with no active noise, one
+    exact statevector; with noise, the exact density matrix when
+    `_uses_density(n, m)` holds, else one trajectory per shot.  Each
+    samples the same channel.  The result is a deterministic function of
+    (circuit, nm, m, seed), independent of thread count (VQF_THREADS,
+    which must be an integer) and chunking.
     """
     _check_size(circuit)
     if m < 1:
         raise InvalidConfig(f"shot count must be >= 1, got {m}")
+    threads = _thread_count()
     seed_t = _seed_tuple(seed)
     n = circuit.n_qubits
-    n_blocks = (m + SHOT_BLOCK - 1) // SHOT_BLOCK
     gate_on, deco_on = _noise_active(nm)
     if not (gate_on or deco_on):
-        # one exact state; per-shot randomness is only the measurement draw
         state = simulate_statevector(circuit)
-        cum = np.cumsum(state.real ** 2 + state.imag ** 2)
-        u = np.concatenate([
-            np.random.default_rng([*seed_t, block, 1]).random(_block_rows(block, m))
-            for block in range(n_blocks)])
-        idx = np.minimum(np.searchsorted(cum, u * cum[-1], side="right"),
-                         (1 << n) - 1)
+        idx = _draw(state.real ** 2 + state.imag ** 2, m, seed_t)
+    elif _uses_density(n, m):
+        rho = _evolve_density(circuit, nm)
+        # diag(rho) sits at stride 2^n + 1; clip rounding below zero
+        idx = _draw(np.maximum(rho[::(1 << n) + 1].real, 0.0), m, seed_t)
     else:
-        plan = _DrawPlan(circuit)
-        threads = _thread_count()
-        groups = _chunk_blocks(n_blocks, m, n, threads)
-        if threads > 1 and len(groups) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                futures = [pool.submit(_sample_chunk_noisy, circuit, nm, plan,
-                                       seed_t, grp) for grp in groups]
-                idx = np.concatenate([f.result() for f in futures])
-        else:
-            idx = np.concatenate([
-                _sample_chunk_noisy(circuit, nm, plan, seed_t, grp)
-                for grp in groups])
+        idx = _sample_trajectories(circuit, nm, m, seed_t, threads)
     values, counts = np.unique(idx, return_counts=True)
     counts_map = {format(int(v), f"0{n}b")[::-1]: int(c)
                   for v, c in zip(values, counts)}
