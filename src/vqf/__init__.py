@@ -15,7 +15,7 @@ from .encoder import (FactoringInstance, ClauseSystem, build_clauses,
                       make_random_clause_system)
 from .transform import (TransformKind, DIRECT, SCHALLER, GROBNER, SIM_GROBNER,
                         ALL_KINDS, apply_transform, Hamiltonian,
-                        to_hamiltonian, hamiltonian_to_poly)
+                        to_hamiltonian)
 from .circuit import (Gate, ParamCircuit, BoundCircuit, CircuitStats,
                       compile_qaoa, bind, stats, export_qasm, parse_qasm)
 from .sim import (NoiseModel, SampleSet, simulate_statevector, run_trajectory,

@@ -30,7 +30,7 @@ from .evaluate import (SweepConfig, reports_to_csv, reports_to_json,
 from .optimize import DeConfig, train_qaoa
 from .sim import NoiseModel
 from .transform import (ALL_KINDS, Hamiltonian, TransformKind, apply_transform,
-                        hamiltonian_to_poly, to_hamiltonian)
+                        to_hamiltonian)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -261,10 +261,9 @@ def _cmd_compile(args) -> int:
 def _cmd_train(args) -> int:
     ham = Hamiltonian.from_json(Path(args.hamiltonian).read_text())
     nm = _load_noise(args.noise).with_scale(args.scale)
-    f = hamiltonian_to_poly(ham)
     cfg = DeConfig(dim=2 * args.p, population_size=args.population,
                    max_generations=args.generations, seed=args.seed)
-    res = train_qaoa(ham, f, args.p, nm, args.shots, cfg)
+    res = train_qaoa(ham, args.p, nm, args.shots, cfg)
     doc = json.loads(res.to_json())
     doc["config_hash"] = _hash12({
         "hamiltonian": ham.to_json(), "p": args.p, "noise": _noise_doc(nm),

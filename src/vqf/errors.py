@@ -14,7 +14,7 @@ class ConflictingFix(VqfError):
 
 
 class MissingVariable(VqfError):
-    """An assignment or qubit map does not cover a required variable."""
+    """An assignment does not cover a required variable."""
 
 
 class TooManyVariables(VqfError):

@@ -242,7 +242,7 @@ def sweep(instance: Instance, transformations: Sequence[TransformKind],
                                    cfg.report_shots, eval_seed)
                     return success_probability(shots, solutions)
 
-                base = train_qaoa(h, poly, p, cfg.noise.with_scale(0.0),
+                base = train_qaoa(h, p, cfg.noise.with_scale(0.0),
                                   cfg.train_shots, de_cfg)
                 m_0p = measure(base.best_params, 0.0)
                 for i in levels:
@@ -251,7 +251,7 @@ def sweep(instance: Instance, transformations: Sequence[TransformKind],
                     elif cfg.reuse_params:
                         m_ip = measure(base.best_params, i)
                     else:
-                        res = train_qaoa(h, poly, p, cfg.noise.with_scale(i),
+                        res = train_qaoa(h, p, cfg.noise.with_scale(i),
                                          cfg.train_shots, de_cfg)
                         m_ip = measure(res.best_params, i)
                     reports.append(NrpgReport(

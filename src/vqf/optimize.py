@@ -1,10 +1,12 @@
 """Differential-evolution training of QAOA angles.
 
-The training objective is the shot-averaged cost returned by the noisy
-sampler, so it is stochastic by construction.  Instead of
-drawing fresh shots on every call we pin one sampling seed per
-(generation, member) slot; the whole run is then deterministic and
-regression-testable, at the price of a small frozen shot-noise bias.
+The training objective is the shot-averaged energy of the noisy
+sampler's outcomes: each sampled basis index looks up its energy in the
+Hamiltonian's diagonal, computed once per run.  The objective is
+stochastic by construction.  Instead of drawing fresh shots on every call
+we pin one sampling seed per (generation, member) slot; the whole run is
+then deterministic and regression-testable, at the price of a small
+frozen shot-noise bias.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .circuit import ParamCircuit, compile_qaoa
-from .errors import InvalidConfig, MissingVariable, ParseError
-from .pboly import BoolPoly
+from .errors import InvalidConfig, ParseError
 from .sim import NoiseModel, _seed_tuple, estimate_expectation, sample
 from .transform import Hamiltonian
 
@@ -206,21 +207,17 @@ def minimize(objective: Callable[..., float], cfg: DeConfig) -> OptResult:
     return OptResult(pop[best], float(objs[best]), gens_used, evals, history)
 
 
-def train_qaoa(h: Hamiltonian, f: BoolPoly, p: int, nm: NoiseModel,
-               m: int = 2048, cfg: Optional[DeConfig] = None) -> OptResult:
-    """Train level-p QAOA angles for h against the cost polynomial f.
+def train_qaoa(h: Hamiltonian, p: int, nm: NoiseModel, m: int = 2048,
+               cfg: Optional[DeConfig] = None) -> OptResult:
+    """Train level-p QAOA angles to minimize the sampled energy of h.
 
     The candidate vector is (gamma_1..gamma_p, beta_1..beta_p).  Each
     candidate is scored by sampling m shots under nm with the seed
-    (cfg.seed, generation, member) and averaging f over the outcomes.
-    Training runs under the same noise configuration used for any later
-    evaluation; there is no separate calibration pass.
+    (cfg.seed, generation, member) and averaging h's diagonal over the
+    sampled basis indices.  Training runs under the same noise
+    configuration used for any later evaluation; there is no separate
+    calibration pass.
     """
-    missing = [v for v in f.variables() if v not in h.var_map]
-    if missing:
-        raise MissingVariable(
-            f"cost variables not represented in the Hamiltonian: "
-            f"{', '.join(str(v) for v in sorted(missing))}")
     if cfg is None:
         cfg = DeConfig(dim=2 * p)
     elif cfg.dim != 2 * p:
@@ -228,12 +225,13 @@ def train_qaoa(h: Hamiltonian, f: BoolPoly, p: int, nm: NoiseModel,
             f"cfg.dim = {cfg.dim} but level p = {p} needs {2 * p} parameters")
 
     circuit = compile_qaoa(h, p)
+    energies = h.diagonal()
     base = cfg.seed
 
     def objective(x, key):
         gen, member = key
         bound = circuit.bind(x[:p], x[p:])
         shots = sample(bound, nm, m, seed=(*base, gen, member))
-        return estimate_expectation(shots, f, h.var_map)
+        return estimate_expectation(shots, energies)
 
     return minimize(objective, cfg)

@@ -465,28 +465,3 @@ def parse_poly(text: str) -> BoolPoly:
     if pending is not None:
         raise ParseError("trailing operator")
     return out
-
-
-def write_poly_lines(poly: BoolPoly) -> str:
-    """Golden-file form: one term per line, ``coeff * var1*var2``."""
-    lines = []
-    for m, c in poly.monomials():
-        if m:
-            lines.append(f"{_coeff_str(c)} * " + "*".join(v.name for v in m))
-        else:
-            lines.append(_coeff_str(c))
-    return "\n".join(lines) + "\n"
-
-
-def read_poly_lines(text: str) -> BoolPoly:
-    """Parse the one-term-per-line golden format; ``#`` starts a comment."""
-    out = BoolPoly.zero()
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            out = out + parse_poly(line)
-        except ParseError as e:
-            raise ParseError(f"line {ln}: {e}") from None
-    return out

@@ -20,22 +20,26 @@ The engine is chosen from (n, m) alone and all randomness comes from
 counter-keyed substreams, so results are byte-identical regardless of
 thread count (`VQF_THREADS`) or chunking.  The noiseless case collapses
 to one statevector pass.
+
+A measured outcome is a basis index (bit k is qubit k) from sampling
+through scoring.  Bitstrings (character k is qubit k) appear only at the
+boundaries: the `SampleSet` constructor and CSV form, and the solution
+sets that `success_probability` takes.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 from concurrent.futures import ThreadPoolExecutor
-from fractions import Fraction
 from math import exp, sqrt
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Mapping, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from .circuit import BoundCircuit, Gate
 from .errors import InvalidConfig, ParseError, TooManyQubits
-from .pboly import BoolPoly, Var
 
 # Shots per random-stream block; compatibility constant, do not change.
 SHOT_BLOCK = 256
@@ -48,6 +52,8 @@ _MAX_QUBITS = 24
 Seed = Union[int, Sequence[int]]
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
+
+_BITSTRING = re.compile("[01]+")
 
 
 def _seed_tuple(seed: Seed) -> Tuple[int, ...]:
@@ -139,23 +145,62 @@ class NoiseModel:
                 f"t2={self.t2_us}us, scale={self.scale}{tail})")
 
 
-class SampleSet:
-    """Measurement outcomes: bitstring -> count, with total shot count M.
+def _bits_index(bits: str, n: int) -> int:
+    """Basis index of an n-character bitstring whose character k is qubit k."""
+    if len(bits) != n or not _BITSTRING.fullmatch(bits):
+        raise InvalidConfig(f"{bits!r} is not a {n}-qubit bitstring")
+    return int(bits[::-1], 2)
 
-    Bit k of a bitstring is the measured value of qubit k.
+
+class SampleSet:
+    """Measurement outcomes of an n-qubit register, as basis indices.
+
+    Bit k of a basis index is the measured value of qubit k.  `index`
+    holds the distinct indices seen, ascending, and `count` how often
+    each was seen (read-only int64 arrays); they sum to the shot count
+    `total`.  The constructor takes the bitstring form instead, mapping
+    bitstrings (character k is qubit k, all of one width) to counts; the
+    `counts` property gives that form back for CSV and display.
     """
 
-    __slots__ = ("counts", "total")
+    __slots__ = ("n_qubits", "index", "count", "total")
 
     def __init__(self, counts: Mapping[str, int], total: int):
-        counts = {str(b): int(c) for b, c in counts.items() if c}
-        if sum(counts.values()) != total:
-            raise InvalidConfig(f"counts sum to {sum(counts.values())}, not M={total}")
-        object.__setattr__(self, "counts", counts)
+        n = len(str(next(iter(counts), "")))
+        pairs = sorted((_bits_index(str(b), n), int(c)) for b, c in counts.items())
+        self._set(n, [i for i, c in pairs if c], [c for _, c in pairs if c], total)
+
+    @classmethod
+    def _from_indices(cls, n_qubits: int, index: np.ndarray, count: np.ndarray,
+                      total: int) -> "SampleSet":
+        """Build from ascending distinct basis indices and their counts."""
+        out = object.__new__(cls)
+        out._set(n_qubits, index, count, total)
+        return out
+
+    def _set(self, n_qubits: int, index, count, total: int) -> None:
+        index = np.asarray(index, dtype=np.int64)
+        count = np.asarray(count, dtype=np.int64)
+        if count.size and count.min() < 0:
+            raise InvalidConfig("sample counts must be nonnegative")
+        if int(count.sum()) != total:
+            raise InvalidConfig(f"counts sum to {int(count.sum())}, not M={total}")
+        index.setflags(write=False)
+        count.setflags(write=False)
+        object.__setattr__(self, "n_qubits", int(n_qubits))
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "count", count)
         object.__setattr__(self, "total", int(total))
 
     def __setattr__(self, key, value):
         raise AttributeError("SampleSet is immutable")
+
+    @property
+    def counts(self) -> Dict[str, int]:
+        """Bitstring -> count, character k being qubit k."""
+        n = self.n_qubits
+        return {format(int(i), f"0{n}b")[::-1]: int(c)
+                for i, c in zip(self.index, self.count)}
 
     def frequency(self, bitstring: str) -> float:
         return self.counts.get(bitstring, 0) / self.total
@@ -177,10 +222,13 @@ class SampleSet:
                 counts[bits.strip()] = counts.get(bits.strip(), 0) + int(count)
             except ValueError as exc:
                 raise ParseError(f"line {lineno}: bad sample row {line!r}") from exc
-        return SampleSet(counts, sum(counts.values()))
+        try:
+            return SampleSet(counts, sum(counts.values()))
+        except InvalidConfig as exc:
+            raise ParseError(f"bad sample CSV: {exc}") from exc
 
     def __repr__(self):
-        return f"SampleSet(total={self.total}, distinct={len(self.counts)})"
+        return f"SampleSet(total={self.total}, distinct={self.index.size})"
 
 
 def _view(states: np.ndarray, n: int, k: int) -> np.ndarray:
@@ -588,9 +636,7 @@ def sample(circuit: BoundCircuit, nm: NoiseModel, m: int, seed: Seed) -> SampleS
     else:
         idx = _sample_trajectories(circuit, nm, m, seed_t, threads)
     values, counts = np.unique(idx, return_counts=True)
-    counts_map = {format(int(v), f"0{n}b")[::-1]: int(c)
-                  for v, c in zip(values, counts)}
-    return SampleSet(counts_map, m)
+    return SampleSet._from_indices(n, values, counts, m)
 
 
 def _thread_count() -> int:
@@ -601,19 +647,25 @@ def _thread_count() -> int:
         raise InvalidConfig(f"VQF_THREADS must be an integer, got {raw!r}")
 
 
-def estimate_expectation(samples: SampleSet, f: BoolPoly,
-                         var_map: Mapping[Var, int]) -> float:
-    """Shot-averaged cost: mean of f over the sampled bitstrings."""
-    total = Fraction(0)
-    for bits, count in samples.counts.items():
-        assignment = {v: int(bits[q]) for v, q in var_map.items()}
-        total += f.evaluate(assignment) * count
-    return float(total / samples.total)
+def estimate_expectation(samples: SampleSet, energies: np.ndarray) -> float:
+    """Shot-averaged energy: the mean of energies[x] over the sampled
+    basis indices x, where `energies` is the cost of every basis state
+    (`Hamiltonian.diagonal()`).
+
+    While every count * energy partial sum is exact in float (small
+    dyadic energies, as for the factoring costs), the result is the exact
+    rational mean rounded once.
+    """
+    if len(energies) != 1 << samples.n_qubits:
+        raise InvalidConfig(f"{len(energies)} energies for a "
+                            f"{samples.n_qubits}-qubit sample set")
+    return float(samples.count @ energies[samples.index]) / samples.total
 
 
 def success_probability(samples: SampleSet, solutions: Set[str]) -> float:
-    """Fraction of shots landing in the solution set."""
+    """Fraction of shots landing in the solution set, given as bitstrings."""
     if not solutions:
         raise InvalidConfig("empty solution set")
-    hits = sum(c for b, c in samples.counts.items() if b in solutions)
+    targets = [_bits_index(b, samples.n_qubits) for b in solutions]
+    hits = int(samples.count[np.isin(samples.index, targets)].sum())
     return hits / samples.total

@@ -333,21 +333,3 @@ def to_hamiltonian(f: BoolPoly) -> Hamiltonian:
                      key=lambda item: (len(item[0]), item[0]))
     terms = [(float(c), qs) for qs, c in ordered]
     return Hamiltonian(float(offset), terms, var_map)
-
-
-def hamiltonian_to_poly(h: Hamiltonian) -> BoolPoly:
-    """Rebuild a boolean polynomial with the Hamiltonian's values.
-
-    Inverts the spin map term by term, turning each Z factor into
-    1 - 2x.  The result evaluates identically to h.value on every
-    bitstring, which is all a shot-averaging estimator needs; it is not
-    in general the polynomial the Hamiltonian was built from.
-    """
-    inverse = {q: v for v, q in h.var_map.items()}
-    out = BoolPoly.const(Fraction(h.offset))
-    for coeff, qs in h.terms:
-        term = BoolPoly.const(Fraction(coeff))
-        for q in qs:
-            term = term * (BoolPoly.const(1) - BoolPoly.of(inverse[q]) * 2)
-        out = out + term
-    return out

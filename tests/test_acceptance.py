@@ -209,7 +209,7 @@ def test_07_noiseless_training_reaches_half_success(system_143):
     for s in (0, 1, 2):
         cfg = DeConfig(dim=4, population_size=24, max_generations=40,
                        seed=(s,))
-        res = train_qaoa(h, poly, 2, quiet, m=2048, cfg=cfg)
+        res = train_qaoa(h, 2, quiet, m=2048, cfg=cfg)
         bound = circuit.bind(res.best_params[:2], res.best_params[2:])
         succ.append(success_probability(
             sample(bound, quiet, 8192, (s, 101)), solutions))
@@ -229,13 +229,13 @@ def test_08_estimator_error_shrinks_as_root_m(system_143):
     bound = compile_qaoa(h, 1).bind([0.9], [0.4])
     quiet = NoiseModel().with_scale(0.0)
     probs = np.abs(simulate_statevector(bound)) ** 2
-    e_exact = float(probs @ h.diagonal())
+    energies = h.diagonal()
+    e_exact = float(probs @ energies)
     ms = [2 ** k for k in range(8, 15)]
     errs = []
     for m in ms:
         vals = np.array([
-            estimate_expectation(sample(bound, quiet, m, (m, r)),
-                                 poly, h.var_map)
+            estimate_expectation(sample(bound, quiet, m, (m, r)), energies)
             for r in range(64)], dtype=float)
         errs.append(float(np.sqrt(np.mean((vals - e_exact) ** 2))))
     slope = float(np.polyfit(np.log(ms), np.log(errs), 1)[0])

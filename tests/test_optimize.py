@@ -1,15 +1,17 @@
 """Differential evolution: configuration, convergence, determinism."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from vqf.errors import InvalidConfig, MissingVariable, ParseError
+from vqf.circuit import compile_qaoa
+from vqf.errors import InvalidConfig, ParseError
 from vqf.optimize import DeConfig, OptResult, minimize, train_qaoa
 from vqf.pboly import parse_poly
-from vqf.sim import NoiseModel
-from vqf.transform import apply_transform, to_hamiltonian, DIRECT
+from vqf.sim import NoiseModel, sample
+from vqf.transform import apply_transform, to_hamiltonian, DIRECT, GROBNER
 
 
 # -- configuration ---------------------------------------------------------------
@@ -172,23 +174,11 @@ def test_minimize_rejects_non_callable():
 
 # -- QAOA training --------------------------------------------------------------------
 
-def _toy_cost():
-    f = parse_poly("1 - p1 - q1 + 2*p1*q1")
-    return f, to_hamiltonian(f)
-
-
 def test_train_qaoa_validates_dimensions():
-    f, h = _toy_cost()
+    h = to_hamiltonian(parse_poly("1 - p1 - q1 + 2*p1*q1"))
     with pytest.raises(InvalidConfig):
-        train_qaoa(h, f, 2, NoiseModel().with_scale(0.0), 64,
+        train_qaoa(h, 2, NoiseModel().with_scale(0.0), 64,
                    DeConfig(dim=2))  # p=2 needs dim 4
-
-
-def test_train_qaoa_rejects_uncovered_variables():
-    f, h = _toy_cost()
-    bigger = parse_poly("p1 + q1 + p2")
-    with pytest.raises(MissingVariable):
-        train_qaoa(h, bigger, 1, NoiseModel().with_scale(0.0), 64)
 
 
 def test_train_qaoa_beats_uniform_mean_noiseless(system_143):
@@ -198,7 +188,7 @@ def test_train_qaoa_beats_uniform_mean_noiseless(system_143):
     h = to_hamiltonian(poly)
     cfg = DeConfig(dim=2, population_size=12, max_generations=20,
                    tol=1e-4, seed=0)
-    res = train_qaoa(h, poly, 1, NoiseModel().with_scale(0.0), 512, cfg)
+    res = train_qaoa(h, 1, NoiseModel().with_scale(0.0), 512, cfg)
     assert res.best_objective < 13 / 8
     assert res.best_params.shape == (2,)
 
@@ -209,7 +199,27 @@ def test_train_qaoa_deterministic(system_143):
     cfg = DeConfig(dim=2, population_size=8, max_generations=6,
                    tol=0.0, seed=(41,))
     nm = NoiseModel(p1=0.01, p2=0.02)
-    a = train_qaoa(h, poly, 1, nm, 256, cfg)
-    b = train_qaoa(h, poly, 1, nm, 256, cfg)
+    a = train_qaoa(h, 1, nm, 256, cfg)
+    b = train_qaoa(h, 1, nm, 256, cfg)
     assert np.array_equal(a.best_params, b.best_params)
     assert a.history == b.history
+
+
+def test_train_qaoa_objective_is_the_exact_cost_average(system_143):
+    # generation 0 scores member i on the shots of seed (*cfg.seed, 0, i);
+    # the float lookup in h.diagonal() must equal the exact Fraction mean
+    # of the cost polynomial over those shots, rounded once
+    poly, _ = apply_transform(system_143, GROBNER)
+    h = to_hamiltonian(poly)
+    nm = NoiseModel().with_scale(0.5)
+    cfg = DeConfig(dim=2, population_size=4, max_generations=1, seed=(5,))
+    res = train_qaoa(h, 1, nm, 96, cfg)
+    pop = np.random.default_rng([5]).uniform(0.0, 2 * math.pi, size=(4, 2))
+    circuit = compile_qaoa(h, 1)
+    exact = []
+    for i, x in enumerate(pop):
+        shots = sample(circuit.bind(x[:1], x[1:]), nm, 96, (5, 0, i))
+        total = sum(poly.evaluate({v: int(bits[q]) for v, q in h.var_map.items()}) * c
+                    for bits, c in shots.counts.items())
+        exact.append(float(Fraction(total) / 96))
+    assert res.history[0] == min(exact)

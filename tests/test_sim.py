@@ -145,6 +145,38 @@ def test_sample_set_csv_rejects():
         SampleSet.from_csv("count,bitstring\n01,2\n")
     with pytest.raises(ParseError, match="line 2"):
         SampleSet.from_csv("bitstring,count\n01,two\n")
+    # a non-binary character, ragged widths, an empty bitstring
+    for rows in ("0a,1\n101,2\n", "01,1\n101,2\n", ",3\n"):
+        with pytest.raises(ParseError):
+            SampleSet.from_csv("bitstring,count\n" + rows)
+
+
+@pytest.mark.parametrize("counts", [
+    {"0a": 1, "101": 2}, {"01": 1, "101": 2}, {"": 3}, {"0 1": 3},
+])
+def test_sample_set_rejects_malformed_outcomes(counts):
+    with pytest.raises(InvalidConfig):
+        SampleSet(counts, 3)
+
+
+def test_sample_set_stores_basis_indices():
+    # character k is qubit k, so "10" is index 1 and "01" index 2
+    s = SampleSet({"01": 1, "10": 3, "00": 0}, 4)
+    assert s.n_qubits == 2
+    assert s.index.tolist() == [1, 2] and s.count.tolist() == [3, 1]
+    assert s.counts == {"10": 3, "01": 1}
+    with pytest.raises(ValueError):
+        s.count[0] = 4
+
+
+def test_sample_set_checks_total_on_every_path():
+    with pytest.raises(InvalidConfig):
+        SampleSet({"01": 2, "10": 1}, 4)
+    with pytest.raises(InvalidConfig):
+        SampleSet._from_indices(2, np.array([1, 2]), np.array([2, 1]), 4)
+    # from_csv takes M as the row sum, so only a negative row can break it
+    with pytest.raises(ParseError):
+        SampleSet.from_csv("bitstring,count\n01,-1\n")
 
 
 # -- exact statevector -------------------------------------------------------------
@@ -512,17 +544,24 @@ def test_trajectories_match_density_engine(arm):
 # -- estimators ----------------------------------------------------------------------
 
 def test_estimate_expectation_exact_average():
-    f = parse_poly("1 - p1 - q1 + 2*p1*q1")
-    var_map = {pvar(1): 0, qvar(1): 1}
+    h = to_hamiltonian(parse_poly("1 - p1 - q1 + 2*p1*q1"))
+    assert h.var_map == {pvar(1): 0, qvar(1): 1}
     s = SampleSet({"00": 1, "10": 1, "01": 1, "11": 5}, 8)
     # f values: 00 -> 1, 10 -> 0, 01 -> 0, 11 -> 1
-    assert estimate_expectation(s, f, var_map) == float(Fraction(6, 8))
+    assert estimate_expectation(s, h.diagonal()) == float(Fraction(6, 8))
 
 
 def test_estimate_expectation_fractional_costs():
-    f = parse_poly("-1/8 + 3/4*p1")
+    h = to_hamiltonian(parse_poly("-1/8 + 3/4*p1"))
+    assert h.var_map == {pvar(1): 0}
     s = SampleSet({"0": 3, "1": 1}, 4)
-    assert estimate_expectation(s, f, {pvar(1): 0}) == float(Fraction(-1, 8) + Fraction(3, 16))
+    assert estimate_expectation(s, h.diagonal()) == float(Fraction(-1, 8) + Fraction(3, 16))
+
+
+def test_estimate_expectation_rejects_wrong_width_energies():
+    s = SampleSet({"01": 2}, 2)
+    with pytest.raises(InvalidConfig):
+        estimate_expectation(s, np.zeros(8))
 
 
 def test_success_probability():
@@ -531,3 +570,11 @@ def test_success_probability():
     assert success_probability(s, {"0000"}) == 0.0
     with pytest.raises(InvalidConfig):
         success_probability(s, set())
+
+
+@pytest.mark.parametrize("solution", ["011", "01101", "01a0"])
+def test_success_probability_rejects_foreign_solutions(solution):
+    # a solution of the wrong width used to score 0.0 without complaint
+    s = SampleSet({"0110": 30, "1001": 20, "1111": 50}, 100)
+    with pytest.raises(InvalidConfig):
+        success_probability(s, {"0110", solution})

@@ -9,8 +9,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from vqf.encoder import load_clause_file
+from vqf.encoder import load_clause_file, make_random_clause_system
 from vqf.errors import InvalidPenaltyCoefficients, ParseError
 from vqf.pboly import BoolPoly, Var, aux, brute_force_minima, parse_poly, pvar, qvar
 from vqf.transform import (
@@ -22,7 +23,6 @@ from vqf.transform import (
     SIM_GROBNER,
     TransformKind,
     apply_transform,
-    hamiltonian_to_poly,
     to_hamiltonian,
     transform_direct,
     transform_grobner,
@@ -31,6 +31,8 @@ from vqf.transform import (
 )
 
 _INSTANCES = Path(__file__).resolve().parents[1] / "instances"
+_BENCH_291311 = (Path(__file__).resolve().parents[1] / "bench" / "data"
+                 / "clauses-291311.txt")
 
 DIRECT_143 = ("3 - p1 - p2 - q1 - q2 + 2*p1*q1 - p1*q2 - p2*q1 + 2*p2*q2"
               " + 2*p1*p2*q1*q2")
@@ -311,13 +313,37 @@ def test_hamiltonian_rejects_duplicate_qubit_sets():
         Hamiltonian(0.0, [(1.0, (0, 0))], {pvar(1): 0})
 
 
-def test_hamiltonian_to_poly_inverts_exactly(system_143):
+def _assert_diagonal_is_exact(poly):
+    """The Hamiltonian's diagonal equals the polynomial on every basis
+    index, to the last bit.
+
+    The sampled objective averages diagonal entries in float, so it is
+    byte-identical to the exact Fraction average only while this holds.
+    """
+    h = to_hamiltonian(poly)
+    diag = h.diagonal()
+    for x in range(1 << h.n_qubits):
+        bits = {v: (x >> q) & 1 for v, q in h.var_map.items()}
+        assert diag[x] == poly.evaluate(bits), (x, diag[x], poly.evaluate(bits))
+
+
+@pytest.mark.parametrize("system", ["system_35", "system_143", "clauses_291311"])
+def test_hamiltonian_diagonal_equals_cost_exactly(system, request):
+    cs = (load_clause_file(_BENCH_291311) if system == "clauses_291311"
+          else request.getfixturevalue(system))
     for kind in ALL_KINDS:
-        poly, _ = apply_transform(system_143, kind)
-        back = hamiltonian_to_poly(to_hamiltonian(poly))
-        diff = back - poly
-        # float boundary: coefficients here are dyadic, so inversion is exact
-        assert diff.is_zero()
+        poly, _ = apply_transform(cs, kind)
+        _assert_diagonal_is_exact(poly)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_bits=st.integers(1, 3),
+       n_clauses=st.integers(1, 4), kind=st.sampled_from(ALL_KINDS))
+def test_hamiltonian_diagonal_equals_cost_on_random_systems(seed, n_bits,
+                                                            n_clauses, kind):
+    cs = make_random_clause_system(seed, n_bits=n_bits, n_clauses=n_clauses)
+    poly, _ = apply_transform(cs, kind)
+    _assert_diagonal_is_exact(poly)
 
 
 def test_constant_poly_has_no_terms():
