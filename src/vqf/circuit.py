@@ -11,9 +11,11 @@ cancellation.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, EmptyHamiltonian, InvalidConfig, ParseError
 from .transform import Hamiltonian
@@ -24,15 +26,22 @@ ParamRef = Tuple[str, int, float]
 _GATE_KINDS = ("H", "RX", "RZ", "CNOT")
 
 
+@dataclass(frozen=True, slots=True)
 class Gate:
     """One gate: H, RX, RZ (one qubit) or CNOT (control, target)."""
 
-    __slots__ = ("kind", "qubits", "angle", "param")
+    kind: str
+    qubits: Tuple[int, ...]
+    angle: Optional[float] = None
+    param: Optional[ParamRef] = None
 
-    def __init__(self, kind: str, qubits: Sequence[int],
-                 angle: Optional[float] = None,
-                 param: Optional[ParamRef] = None):
-        qubits = tuple(int(q) for q in qubits)
+    def __post_init__(self):
+        kind, qubits, angle, param = self.kind, self.qubits, self.angle, self.param
+        # `bind` builds thousands of gates per training run from fields that
+        # are already coerced; storing them again would cost measurable time
+        if type(qubits) is not tuple or not all(type(q) is int for q in qubits):
+            qubits = tuple(int(q) for q in qubits)
+            object.__setattr__(self, "qubits", qubits)
         if kind not in _GATE_KINDS:
             raise ValueError(f"unknown gate kind {kind!r}")
         if kind == "CNOT":
@@ -48,18 +57,8 @@ class Gate:
                     raise ValueError("H carries no angle")
             elif (angle is None) == (param is None):
                 raise ValueError(f"{kind} needs exactly one of angle or param")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "qubits", qubits)
-        object.__setattr__(self, "angle", None if angle is None else float(angle))
-        object.__setattr__(self, "param", param)
-
-    def __setattr__(self, key, value):
-        raise AttributeError("Gate is immutable")
-
-    def __eq__(self, other):
-        return (isinstance(other, Gate) and self.kind == other.kind
-                and self.qubits == other.qubits and self.angle == other.angle
-                and self.param == other.param)
+        if angle is not None and type(angle) is not float:
+            object.__setattr__(self, "angle", float(angle))
 
     def __repr__(self):
         if self.kind in ("H", "CNOT"):
@@ -84,20 +83,20 @@ def _gate_from_doc(doc: dict) -> Gate:
     return Gate(doc["kind"], doc["qubits"], doc.get("angle"), param)
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class _CircuitBase:
-    __slots__ = ("n_qubits", "gates")
+    n_qubits: int
+    gates: List[Gate]
 
-    def __init__(self, n_qubits: int, gates: Sequence[Gate]):
-        for g in gates:
-            if max(g.qubits) >= n_qubits:
-                raise ValueError(f"gate {g!r} outside {n_qubits}-qubit register")
-        object.__setattr__(self, "n_qubits", int(n_qubits))
-        object.__setattr__(self, "gates", list(gates))
-
-    def __setattr__(self, key, value):
-        raise AttributeError("circuits are immutable")
+    def __post_init__(self):
+        for g in self.gates:
+            if max(g.qubits) >= self.n_qubits:
+                raise ValueError(f"gate {g!r} outside {self.n_qubits}-qubit register")
+        object.__setattr__(self, "n_qubits", int(self.n_qubits))
+        object.__setattr__(self, "gates", list(self.gates))
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class ParamCircuit(_CircuitBase):
     """Gate list with symbolic angles; `p` cost/mixer levels.
 
@@ -105,11 +104,11 @@ class ParamCircuit(_CircuitBase):
     as two separate vectors.
     """
 
-    __slots__ = ("p",)
+    p: int
 
-    def __init__(self, n_qubits: int, gates: Sequence[Gate], p: int):
-        super().__init__(n_qubits, gates)
-        object.__setattr__(self, "p", int(p))
+    def __post_init__(self):
+        _CircuitBase.__post_init__(self)
+        object.__setattr__(self, "p", int(self.p))
 
     def bind(self, gamma: Sequence[float], beta: Sequence[float]) -> "BoundCircuit":
         return bind(self, gamma, beta)
@@ -132,16 +131,15 @@ class ParamCircuit(_CircuitBase):
         return f"ParamCircuit(n_qubits={self.n_qubits}, p={self.p}, gates={len(self.gates)})"
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class BoundCircuit(_CircuitBase):
     """Gate list with every angle concrete, ready for simulation."""
 
-    __slots__ = ()
-
-    def __init__(self, n_qubits: int, gates: Sequence[Gate]):
-        for g in gates:
+    def __post_init__(self):
+        for g in self.gates:
             if g.param is not None:
                 raise ValueError(f"unbound parameter in {g!r}")
-        super().__init__(n_qubits, gates)
+        _CircuitBase.__post_init__(self)
 
     def to_json(self) -> str:
         doc = {"n_qubits": self.n_qubits,
@@ -160,34 +158,21 @@ class BoundCircuit(_CircuitBase):
         return f"BoundCircuit(n_qubits={self.n_qubits}, gates={len(self.gates)})"
 
 
+@dataclass(frozen=True, slots=True)
 class CircuitStats:
     """Gate-count and depth summary of one circuit."""
 
-    __slots__ = ("n_qubits", "n_single_gates", "n_cnot", "depth")
-
-    def __init__(self, n_qubits: int, n_single_gates: int, n_cnot: int, depth: int):
-        object.__setattr__(self, "n_qubits", n_qubits)
-        object.__setattr__(self, "n_single_gates", n_single_gates)
-        object.__setattr__(self, "n_cnot", n_cnot)
-        object.__setattr__(self, "depth", depth)
-
-    def __setattr__(self, key, value):
-        raise AttributeError("CircuitStats is immutable")
+    n_qubits: int
+    n_single_gates: int
+    n_cnot: int
+    depth: int
 
     @property
     def cnot_per_qubit(self) -> float:
         return self.n_cnot / self.n_qubits
 
     def as_dict(self) -> dict:
-        return {"n_qubits": self.n_qubits, "n_single_gates": self.n_single_gates,
-                "n_cnot": self.n_cnot, "depth": self.depth,
-                "cnot_per_qubit": self.cnot_per_qubit}
-
-    def __eq__(self, other):
-        return isinstance(other, CircuitStats) and self.as_dict() == other.as_dict()
-
-    def __repr__(self):
-        return ("CircuitStats(" + ", ".join(f"{k}={v}" for k, v in self.as_dict().items()) + ")")
+        return {**dataclasses.asdict(self), "cnot_per_qubit": self.cnot_per_qubit}
 
 
 def compile_qaoa(h: Hamiltonian, p: int) -> ParamCircuit:

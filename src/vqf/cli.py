@@ -14,13 +14,15 @@ Exit codes: 0 success, 2 configuration error, 3 infeasible instance,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from .circuit import ParamCircuit, bind, compile_qaoa, export_qasm, stats
+from .circuit import bind, compile_qaoa, export_qasm, stats
 from .encoder import (FactoringInstance, build_clauses, clause_file_text,
                       load_clause_file, preprocess)
 from .errors import (Infeasible, InfeasibleInstance, InvalidConfig,
@@ -71,6 +73,8 @@ def _read_config_file(path: str) -> Dict:
 def _load_noise(source) -> NoiseModel:
     if source is None:
         return NoiseModel()
+    if isinstance(source, NoiseModel):
+        return source
     if isinstance(source, dict):
         return NoiseModel(**source)
     p = Path(source)
@@ -79,65 +83,60 @@ def _load_noise(source) -> NoiseModel:
     return NoiseModel.from_json(p.read_text())
 
 
-def _noise_doc(nm: NoiseModel) -> Dict:
-    return {k: getattr(nm, k) for k in NoiseModel.__slots__}
-
-
 def _parse_kinds(names: Optional[Sequence[str]]) -> List[TransformKind]:
     if not names or list(names) == ["all"]:
         return list(ALL_KINDS)
     return [TransformKind.parse(n) for n in names]
 
 
-class RunConfig:
-    """Resolved settings for sweep and pipeline runs.
+@dataclass(frozen=True, slots=True, eq=False)
+class RunConfig(SweepConfig):
+    """Resolved settings for sweep, select and pipeline runs.
 
-    The config hash covers every field that influences outputs; the
-    output directory is deliberately excluded so relocated runs keep
-    their identity.
+    The sweep settings are the inherited `SweepConfig` fields, and `sweep`
+    takes this object as its config; `noise` may also be given as a dict
+    of `NoiseModel` fields or the path of a noise-model JSON file.  Every
+    field is checked when the config is built, so a bad setting fails
+    before any artifact is written.  The config hash covers every field
+    that influences outputs; the output directory is deliberately
+    excluded so relocated runs keep their identity.
     """
 
-    __slots__ = ("n", "bits", "clause_file", "probe_depth", "transforms",
-                 "p_list", "levels", "noise", "train_shots", "report_shots",
-                 "population_size", "max_generations", "tol", "reuse_params",
-                 "seeds", "qubit_budget", "out_dir")
+    n: Optional[int] = None
+    bits: Optional[int] = None
+    clause_file: Optional[str] = None
+    probe_depth: int = 2
+    transforms: List[str] = ("all",)
+    p_list: List[int] = (1,)
+    levels: List[float] = (0.0, 0.5, 1.0)
+    qubit_budget: int = 16
+    out_dir: str = "vqf-out"
 
-    def __init__(self, n=None, bits=None, clause_file=None, probe_depth=2,
-                 transforms=("all",), p_list=(1,), levels=(0.0, 0.5, 1.0),
-                 noise=None, train_shots=2048, report_shots=8192,
-                 population_size=None, max_generations=100, tol=1e-3,
-                 reuse_params=False, seeds=(0,), qubit_budget=16,
-                 out_dir="vqf-out"):
-        if clause_file is None and (n is None or bits is None):
+    def __post_init__(self):
+        if self.clause_file is None and (self.n is None or self.bits is None):
             raise InvalidConfig("either a clause file or both n and bits are required")
-        object.__setattr__(self, "n", None if n is None else int(n))
-        object.__setattr__(self, "bits", None if bits is None else int(bits))
-        object.__setattr__(self, "clause_file",
-                           None if clause_file is None else str(clause_file))
-        object.__setattr__(self, "probe_depth", int(probe_depth))
+        object.__setattr__(self, "noise", _load_noise(self.noise))
+        SweepConfig.__post_init__(self)
+        for name, cast in (("n", int), ("bits", int), ("clause_file", str)):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, cast(getattr(self, name)))
+        object.__setattr__(self, "probe_depth", int(self.probe_depth))
         object.__setattr__(self, "transforms",
-                           [k.name for k in _parse_kinds(transforms)])
-        object.__setattr__(self, "p_list", [int(p) for p in p_list])
-        object.__setattr__(self, "levels", [float(i) for i in levels])
-        object.__setattr__(self, "noise", _noise_doc(_load_noise(noise)))
-        object.__setattr__(self, "train_shots", int(train_shots))
-        object.__setattr__(self, "report_shots", int(report_shots))
-        object.__setattr__(self, "population_size",
-                           None if population_size is None else int(population_size))
-        object.__setattr__(self, "max_generations", int(max_generations))
-        object.__setattr__(self, "tol", float(tol))
-        object.__setattr__(self, "reuse_params", bool(reuse_params))
-        object.__setattr__(self, "seeds", [int(s) for s in seeds])
-        object.__setattr__(self, "qubit_budget", int(qubit_budget))
-        object.__setattr__(self, "out_dir", str(out_dir))
+                           [k.name for k in _parse_kinds(self.transforms)])
+        object.__setattr__(self, "p_list", [int(p) for p in self.p_list])
+        object.__setattr__(self, "levels", [float(i) for i in self.levels])
+        object.__setattr__(self, "qubit_budget", int(self.qubit_budget))
+        object.__setattr__(self, "out_dir", str(self.out_dir))
         if not self.p_list or min(self.p_list) < 1:
             raise InvalidConfig(f"p_list must contain levels >= 1: {self.p_list}")
-
-    def __setattr__(self, key, value):
-        raise AttributeError("RunConfig is immutable")
+        if not self.levels:
+            raise InvalidConfig("at least one noise level is required")
+        for i in self.levels:
+            self.noise.with_scale(i)  # a level is a noise scale: NoiseModel checks it
 
     def hashed_doc(self) -> Dict:
-        doc = {k: getattr(self, k) for k in self.__slots__ if k != "out_dir"}
+        doc = dataclasses.asdict(self)
+        del doc["out_dir"]
         if self.clause_file is not None:
             # identity follows the clause content, not the path
             doc["clause_file"] = hashlib.sha256(
@@ -149,20 +148,9 @@ class RunConfig:
         return _hash12(self.hashed_doc())
 
     def to_json(self) -> str:
-        doc = {k: getattr(self, k) for k in self.__slots__}
+        doc = dataclasses.asdict(self)
         doc["config_hash"] = self.hash12
         return json.dumps(doc, indent=2, sort_keys=True)
-
-    def noise_model(self) -> NoiseModel:
-        return NoiseModel(**self.noise)
-
-    def sweep_config(self) -> SweepConfig:
-        return SweepConfig(noise=self.noise_model(), seeds=self.seeds,
-                           train_shots=self.train_shots,
-                           report_shots=self.report_shots,
-                           population_size=self.population_size,
-                           max_generations=self.max_generations, tol=self.tol,
-                           reuse_params=self.reuse_params)
 
 
 def _config_from_args(args) -> RunConfig:
@@ -188,8 +176,7 @@ def _config_from_args(args) -> RunConfig:
         "out_dir": getattr(args, "out", None),
     }
     doc.update({k: v for k, v in overrides.items() if v is not None})
-    allowed = set(RunConfig.__slots__)
-    unknown = set(doc) - allowed
+    unknown = set(doc) - {f.name for f in dataclasses.fields(RunConfig)}
     if unknown:
         raise InvalidConfig(f"unknown config keys: {', '.join(sorted(unknown))}")
     return RunConfig(**doc)
@@ -266,7 +253,7 @@ def _cmd_train(args) -> int:
     res = train_qaoa(ham, args.p, nm, args.shots, cfg)
     doc = json.loads(res.to_json())
     doc["config_hash"] = _hash12({
-        "hamiltonian": ham.to_json(), "p": args.p, "noise": _noise_doc(nm),
+        "hamiltonian": ham.to_json(), "p": args.p, "noise": dataclasses.asdict(nm),
         "shots": args.shots, "seed": args.seed, "population": args.population,
         "generations": args.generations})
     doc["gamma"] = doc["best_params"][:args.p]
@@ -282,7 +269,7 @@ def _cmd_sweep(args) -> int:
     cfg = _config_from_args(args)
     cs, label = _resolve_system(cfg)
     reports = sweep(cs, _parse_kinds(cfg.transforms), cfg.p_list, cfg.levels,
-                    cfg.sweep_config(), label=label)
+                    cfg, label=label)
     outdir = Path(cfg.out_dir)
     h12 = cfg.hash12
     _write(outdir / f"nrpg-report-{h12}.json", reports_to_json(reports))
@@ -359,7 +346,7 @@ def _cmd_pipeline(args) -> int:
 
     if not args.dry_run:
         reports = stage("sweep", lambda: sweep(
-            cs, kinds, cfg.p_list, cfg.levels, cfg.sweep_config(), label=label))
+            cs, kinds, cfg.p_list, cfg.levels, cfg, label=label))
         _write(outdir / f"nrpg-report-{h12}.json", reports_to_json(reports))
         _write(outdir / f"nrpg-report-{h12}.csv", reports_to_csv(reports))
         _write(outdir / f"nrpg-curves-{h12}.tsv", reports_to_plot_tsv(reports))

@@ -12,8 +12,10 @@ solution by uniform guessing over the transformed variable space.  G is
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -57,31 +59,29 @@ def nrpg(m_ip: float, m_0p: float, rand: float) -> float:
     return (m_ip - rand) / (m_0p - rand)
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class NrpgReport:
     """One sweep grid point: trained circuit scored at one noise level."""
 
-    __slots__ = ("instance", "transform", "p", "i", "m_ip", "m_0p", "rand",
-                 "nrpg", "stats", "seed")
+    instance: str
+    transform: str
+    p: int
+    i: float
+    m_ip: float
+    m_0p: float
+    rand: float
+    nrpg: float
+    stats: CircuitStats
+    seed: int
 
-    def __init__(self, instance: str, transform: str, p: int, i: float,
-                 m_ip: float, m_0p: float, rand: float, nrpg: float,
-                 stats: CircuitStats, seed: int):
-        object.__setattr__(self, "instance", str(instance))
-        object.__setattr__(self, "transform", str(transform))
-        object.__setattr__(self, "p", int(p))
-        object.__setattr__(self, "i", float(i))
-        object.__setattr__(self, "m_ip", float(m_ip))
-        object.__setattr__(self, "m_0p", float(m_0p))
-        object.__setattr__(self, "rand", float(rand))
-        object.__setattr__(self, "nrpg", float(nrpg))
-        object.__setattr__(self, "stats", stats)
-        object.__setattr__(self, "seed", int(seed))
-
-    def __setattr__(self, key, value):
-        raise AttributeError("NrpgReport is immutable")
+    def __post_init__(self):
+        for name, cast in (("instance", str), ("transform", str), ("p", int),
+                           ("i", float), ("m_ip", float), ("m_0p", float),
+                           ("rand", float), ("nrpg", float), ("seed", int)):
+            object.__setattr__(self, name, cast(getattr(self, name)))
 
     def as_dict(self) -> Dict[str, object]:
-        doc = {k: getattr(self, k) for k in self.__slots__ if k != "stats"}
+        doc = dataclasses.asdict(self)
         doc["stats"] = self.stats.as_dict()
         return doc
 
@@ -138,6 +138,7 @@ def reports_to_plot_tsv(reports: Sequence[NrpgReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class SweepConfig:
     """Budget and seeding for sweep and masking runs.
 
@@ -145,39 +146,36 @@ class SweepConfig:
     noise.with_scale(i).  `seeds` drives both DE and sampling; every
     seed yields an independent training replicate.  `reuse_params`
     switches from retrain-per-level (default) to evaluating the
-    noiseless parameters at every level.
+    noiseless parameters at every level.  Every field is checked when
+    the config is built, including the DE budget, so a bad setting
+    fails before any training starts.
     """
 
-    __slots__ = ("noise", "seeds", "train_shots", "report_shots",
-                 "population_size", "max_generations", "tol", "reuse_params")
+    noise: NoiseModel = NoiseModel()
+    seeds: Tuple[int, ...] = (0,)
+    train_shots: int = 2048
+    report_shots: int = 8192
+    population_size: Optional[int] = None
+    max_generations: int = 100
+    tol: float = 1e-3
+    reuse_params: bool = False
 
-    def __init__(self, noise: Optional[NoiseModel] = None,
-                 seeds: Sequence[int] = (0,), train_shots: int = 2048,
-                 report_shots: int = 8192,
-                 population_size: Optional[int] = None,
-                 max_generations: int = 100, tol: float = 1e-3,
-                 reuse_params: bool = False):
-        if not seeds:
+    def __post_init__(self):
+        if not self.seeds:
             raise InvalidConfig("at least one seed is required")
-        if train_shots < 1 or report_shots < 1:
+        if self.train_shots < 1 or self.report_shots < 1:
             raise InvalidConfig("shot counts must be positive")
-        object.__setattr__(self, "noise", noise if noise is not None else NoiseModel())
-        object.__setattr__(self, "seeds", tuple(int(s) for s in seeds))
-        object.__setattr__(self, "train_shots", int(train_shots))
-        object.__setattr__(self, "report_shots", int(report_shots))
-        object.__setattr__(self, "population_size",
-                           None if population_size is None else int(population_size))
-        object.__setattr__(self, "max_generations", int(max_generations))
-        object.__setattr__(self, "tol", float(tol))
-        object.__setattr__(self, "reuse_params", bool(reuse_params))
-
-    def __setattr__(self, key, value):
-        raise AttributeError("SweepConfig is immutable")
+        self.de_config(1, 0)  # raises now on a DE budget that training would reject
+        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        for name, cast in (("train_shots", int), ("report_shots", int),
+                           ("max_generations", int), ("tol", float),
+                           ("reuse_params", bool)):
+            object.__setattr__(self, name, cast(getattr(self, name)))
+        if self.population_size is not None:
+            object.__setattr__(self, "population_size", int(self.population_size))
 
     def replace(self, **kw) -> "SweepConfig":
-        fields = {k: getattr(self, k) for k in self.__slots__}
-        fields.update(kw)
-        return SweepConfig(**fields)
+        return dataclasses.replace(self, **kw)
 
     def de_config(self, p: int, seed: int) -> DeConfig:
         return DeConfig(dim=2 * p, population_size=self.population_size,

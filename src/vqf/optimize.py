@@ -11,14 +11,16 @@ frozen shot-noise bias.
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import json
 import math
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .circuit import ParamCircuit, compile_qaoa
+from .circuit import compile_qaoa
 from .errors import InvalidConfig, ParseError
 from .sim import NoiseModel, _seed_tuple, estimate_expectation, sample
 from .transform import Hamiltonian
@@ -28,6 +30,7 @@ Seed = Union[int, Sequence[int]]
 TWO_PI = 2.0 * math.pi
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class DeConfig:
     """Knobs for DE/rand/1/bin.
 
@@ -38,54 +41,47 @@ class DeConfig:
     coordinate lives in the closed box `bounds`, default [0, 2*pi].
     """
 
-    __slots__ = ("dim", "population_size", "f", "cr", "max_generations",
-                 "tol", "bounds", "seed")
+    dim: int
+    population_size: Optional[int] = None
+    f: float = 0.8
+    cr: float = 0.9
+    max_generations: int = 100
+    tol: float = 1e-3
+    bounds: Tuple[float, float] = (0.0, TWO_PI)
+    seed: Seed = 0
 
-    def __init__(self, dim: int, population_size: Optional[int] = None,
-                 f: float = 0.8, cr: float = 0.9, max_generations: int = 100,
-                 tol: float = 1e-3, bounds: Tuple[float, float] = (0.0, TWO_PI),
-                 seed: Seed = 0):
-        if dim < 1:
-            raise InvalidConfig(f"dimension must be >= 1, got {dim}")
-        if population_size is None:
-            population_size = 15 * dim
-        if population_size < 4:
+    def __post_init__(self):
+        if self.dim < 1:
+            raise InvalidConfig(f"dimension must be >= 1, got {self.dim}")
+        if self.population_size is None:
+            object.__setattr__(self, "population_size", 15 * self.dim)
+        if self.population_size < 4:
             raise InvalidConfig(
-                f"population_size must be >= 4 for rand/1/bin, got {population_size}")
-        if not 0.0 < f <= 2.0:
-            raise InvalidConfig(f"weight f must lie in (0, 2], got {f}")
-        if not 0.0 <= cr <= 1.0:
-            raise InvalidConfig(f"crossover cr must lie in [0, 1], got {cr}")
-        if max_generations < 1:
-            raise InvalidConfig(f"max_generations must be >= 1, got {max_generations}")
-        if tol < 0.0:
-            raise InvalidConfig(f"tol must be nonnegative, got {tol}")
-        lo, hi = float(bounds[0]), float(bounds[1])
+                f"population_size must be >= 4 for rand/1/bin, got {self.population_size}")
+        if not 0.0 < self.f <= 2.0:
+            raise InvalidConfig(f"weight f must lie in (0, 2], got {self.f}")
+        if not 0.0 <= self.cr <= 1.0:
+            raise InvalidConfig(f"crossover cr must lie in [0, 1], got {self.cr}")
+        if self.max_generations < 1:
+            raise InvalidConfig(
+                f"max_generations must be >= 1, got {self.max_generations}")
+        if self.tol < 0.0:
+            raise InvalidConfig(f"tol must be nonnegative, got {self.tol}")
+        lo, hi = float(self.bounds[0]), float(self.bounds[1])
         if not lo < hi:
             raise InvalidConfig(f"bounds must satisfy lower < upper, got [{lo}, {hi}]")
-        object.__setattr__(self, "dim", int(dim))
-        object.__setattr__(self, "population_size", int(population_size))
-        object.__setattr__(self, "f", float(f))
-        object.__setattr__(self, "cr", float(cr))
-        object.__setattr__(self, "max_generations", int(max_generations))
-        object.__setattr__(self, "tol", float(tol))
+        for name in ("dim", "population_size", "max_generations"):
+            object.__setattr__(self, name, int(getattr(self, name)))
+        for name in ("f", "cr", "tol"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         object.__setattr__(self, "bounds", (lo, hi))
-        object.__setattr__(self, "seed", _seed_tuple(seed))
-
-    def __setattr__(self, key, value):
-        raise AttributeError("DeConfig is immutable")
+        object.__setattr__(self, "seed", _seed_tuple(self.seed))
 
     def replace(self, **kw) -> "DeConfig":
-        fields = {k: getattr(self, k) for k in self.__slots__}
-        fields.update(kw)
-        return DeConfig(**fields)
-
-    def __repr__(self):
-        return (f"DeConfig(dim={self.dim}, np={self.population_size}, "
-                f"f={self.f}, cr={self.cr}, gens<={self.max_generations}, "
-                f"tol={self.tol}, seed={self.seed})")
+        return dataclasses.replace(self, **kw)
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class OptResult:
     """Outcome of one DE run.
 
@@ -94,30 +90,24 @@ class OptResult:
     `best_objective` is the minimum over every candidate evaluated.
     """
 
-    __slots__ = ("best_params", "best_objective", "generations_used",
-                 "evaluation_count", "history")
+    best_params: np.ndarray
+    best_objective: float
+    generations_used: int
+    evaluation_count: int
+    history: List[float]
 
-    def __init__(self, best_params: np.ndarray, best_objective: float,
-                 generations_used: int, evaluation_count: int,
-                 history: Sequence[float]):
-        object.__setattr__(self, "best_params", np.array(best_params, dtype=float))
-        object.__setattr__(self, "best_objective", float(best_objective))
-        object.__setattr__(self, "generations_used", int(generations_used))
-        object.__setattr__(self, "evaluation_count", int(evaluation_count))
-        object.__setattr__(self, "history", [float(h) for h in history])
-        self.best_params.setflags(write=False)
-
-    def __setattr__(self, key, value):
-        raise AttributeError("OptResult is immutable")
+    def __post_init__(self):
+        params = np.array(self.best_params, dtype=float)
+        params.setflags(write=False)
+        object.__setattr__(self, "best_params", params)
+        object.__setattr__(self, "best_objective", float(self.best_objective))
+        object.__setattr__(self, "generations_used", int(self.generations_used))
+        object.__setattr__(self, "evaluation_count", int(self.evaluation_count))
+        object.__setattr__(self, "history", [float(h) for h in self.history])
 
     def to_json(self) -> str:
-        doc = {
-            "best_params": [float(x) for x in self.best_params],
-            "best_objective": self.best_objective,
-            "generations_used": self.generations_used,
-            "evaluation_count": self.evaluation_count,
-            "history": self.history,
-        }
+        doc = dataclasses.asdict(self)
+        doc["best_params"] = [float(x) for x in self.best_params]
         return json.dumps(doc, indent=2, sort_keys=True)
 
     @staticmethod

@@ -29,10 +29,12 @@ sets that `success_probability` takes.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import re
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from math import exp, sqrt
 from typing import Dict, List, Mapping, Sequence, Set, Tuple, Union
 
@@ -62,6 +64,7 @@ def _seed_tuple(seed: Seed) -> Tuple[int, ...]:
     return tuple(int(s) for s in seed)
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class NoiseModel:
     """Homogeneous-qubit noise description.
 
@@ -74,39 +77,36 @@ class NoiseModel:
     typical for a small transmon device.
     """
 
-    __slots__ = ("p1", "p2", "t1_us", "t2_us", "dur1_ns", "dur2_ns",
-                 "scale", "gate_noise_on", "decoherence_on")
+    p1: float = 0.002
+    p2: float = 0.025
+    t1_us: float = 50.0
+    t2_us: float = 60.0
+    dur1_ns: float = 100.0
+    dur2_ns: float = 300.0
+    scale: float = 1.0
+    gate_noise_on: bool = True
+    decoherence_on: bool = True
 
-    def __init__(self, p1: float = 0.002, p2: float = 0.025,
-                 t1_us: float = 50.0, t2_us: float = 60.0,
-                 dur1_ns: float = 100.0, dur2_ns: float = 300.0,
-                 scale: float = 1.0, gate_noise_on: bool = True,
-                 decoherence_on: bool = True):
-        if not 0.0 <= p1 <= 1.0 or not 0.0 <= p2 <= 1.0:
-            raise InvalidConfig(f"depolarizing probabilities out of [0,1]: {p1}, {p2}")
-        if not 0.0 <= scale <= 1.0:
-            raise InvalidConfig(f"noise scale must lie in [0,1], got {scale}")
-        if t1_us <= 0 or t2_us <= 0 or dur1_ns < 0 or dur2_ns < 0:
+    def __post_init__(self):
+        if not 0.0 <= self.p1 <= 1.0 or not 0.0 <= self.p2 <= 1.0:
+            raise InvalidConfig(
+                f"depolarizing probabilities out of [0,1]: {self.p1}, {self.p2}")
+        if not 0.0 <= self.scale <= 1.0:
+            raise InvalidConfig(f"noise scale must lie in [0,1], got {self.scale}")
+        # phrased so that NaN fails every comparison
+        if not (self.t1_us > 0 and self.t2_us > 0
+                and self.dur1_ns >= 0 and self.dur2_ns >= 0):
             raise InvalidConfig("times must be positive and durations nonnegative")
-        if t2_us > 2.0 * t1_us:
-            raise InvalidConfig(f"t2 = {t2_us}us exceeds 2*t1 = {2 * t1_us}us")
-        object.__setattr__(self, "p1", float(p1))
-        object.__setattr__(self, "p2", float(p2))
-        object.__setattr__(self, "t1_us", float(t1_us))
-        object.__setattr__(self, "t2_us", float(t2_us))
-        object.__setattr__(self, "dur1_ns", float(dur1_ns))
-        object.__setattr__(self, "dur2_ns", float(dur2_ns))
-        object.__setattr__(self, "scale", float(scale))
-        object.__setattr__(self, "gate_noise_on", bool(gate_noise_on))
-        object.__setattr__(self, "decoherence_on", bool(decoherence_on))
-
-    def __setattr__(self, key, value):
-        raise AttributeError("NoiseModel is immutable")
+        if not self.t2_us <= 2.0 * self.t1_us:
+            raise InvalidConfig(
+                f"t2 = {self.t2_us}us exceeds 2*t1 = {2 * self.t1_us}us")
+        for name in ("p1", "p2", "t1_us", "t2_us", "dur1_ns", "dur2_ns", "scale"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        for name in ("gate_noise_on", "decoherence_on"):
+            object.__setattr__(self, name, bool(getattr(self, name)))
 
     def replace(self, **kw) -> "NoiseModel":
-        fields = {k: getattr(self, k) for k in self.__slots__}
-        fields.update(kw)
-        return NoiseModel(**fields)
+        return dataclasses.replace(self, **kw)
 
     def with_scale(self, i: float) -> "NoiseModel":
         return self.replace(scale=i)
@@ -123,8 +123,7 @@ class NoiseModel:
         return (1.0 - exp(-dur_ns / 1000.0 * rate)) / 2.0
 
     def to_json(self) -> str:
-        doc = {k: getattr(self, k) for k in self.__slots__}
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "NoiseModel":
@@ -133,16 +132,6 @@ class NoiseModel:
             return NoiseModel(**doc)
         except (TypeError, ValueError, json.JSONDecodeError) as exc:
             raise ParseError(f"bad noise model JSON: {exc}") from exc
-
-    def __repr__(self):
-        flags = []
-        if not self.gate_noise_on:
-            flags.append("gate_noise off")
-        if not self.decoherence_on:
-            flags.append("decoherence off")
-        tail = f" [{', '.join(flags)}]" if flags else ""
-        return (f"NoiseModel(p1={self.p1}, p2={self.p2}, t1={self.t1_us}us, "
-                f"t2={self.t2_us}us, scale={self.scale}{tail})")
 
 
 def _bits_index(bits: str, n: int) -> int:

@@ -13,9 +13,10 @@ to floats.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -40,6 +41,7 @@ def _check_penalty(a: Coeff, b: Coeff, c: Coeff) -> Tuple[Fraction, Fraction, Fr
     return a, b, c
 
 
+@dataclass(frozen=True, slots=True)
 class TransformKind:
     """One of the four cost transformations, by name.
 
@@ -49,21 +51,17 @@ class TransformKind:
     with `==` against freshly parsed kinds.
     """
 
-    __slots__ = ("name", "abc")
+    name: str
+    abc: Optional[Tuple[Coeff, Coeff, Coeff]] = None
 
-    def __init__(self, name: str, abc: Optional[Tuple[Coeff, Coeff, Coeff]] = None):
-        if name not in _KIND_NAMES:
-            raise ParseError(f"unknown transform kind {name!r}")
-        if name == "GROBNER":
-            a, b, c = abc if abc is not None else (-2, -2, 1)
-            abc = _check_penalty(a, b, c)
-        elif abc is not None:
-            raise ParseError(f"{name} takes no penalty coefficients")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "abc", abc)
-
-    def __setattr__(self, key, value):
-        raise AttributeError("TransformKind is immutable")
+    def __post_init__(self):
+        if self.name not in _KIND_NAMES:
+            raise ParseError(f"unknown transform kind {self.name!r}")
+        if self.name == "GROBNER":
+            a, b, c = self.abc if self.abc is not None else (-2, -2, 1)
+            object.__setattr__(self, "abc", _check_penalty(a, b, c))
+        elif self.abc is not None:
+            raise ParseError(f"{self.name} takes no penalty coefficients")
 
     @staticmethod
     def parse(text: str, abc: Optional[Tuple[Coeff, Coeff, Coeff]] = None) -> "TransformKind":
@@ -71,13 +69,6 @@ class TransformKind:
         if name == "GROBNER":
             return TransformKind(name, abc)
         return TransformKind(name)
-
-    def __eq__(self, other):
-        return (isinstance(other, TransformKind)
-                and self.name == other.name and self.abc == other.abc)
-
-    def __hash__(self):
-        return hash((self.name, self.abc))
 
     def __repr__(self):
         if self.abc is None:
@@ -225,6 +216,7 @@ def _popcount64(v: np.ndarray) -> np.ndarray:
     return (v * 0x0101010101010101) >> 56
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class Hamiltonian:
     """Diagonal Ising form: offset + sum of coeff * Z_{i1}...Z_{ik} products.
 
@@ -234,22 +226,20 @@ class Hamiltonian:
     this class is the boundary where exact arithmetic ends.
     """
 
-    __slots__ = ("offset", "terms", "var_map")
+    offset: float
+    terms: List[Tuple[float, Tuple[int, ...]]]
+    var_map: Dict[Var, int]
 
-    def __init__(self, offset: float, terms: Sequence[Tuple[float, Tuple[int, ...]]],
-                 var_map: Dict[Var, int]):
+    def __post_init__(self):
         seen = set()
-        for _, qs in terms:
+        for _, qs in self.terms:
             if not qs or len(set(qs)) != len(qs) or qs in seen:
                 raise ValueError(f"bad qubit set {qs!r} in Hamiltonian term")
             seen.add(qs)
-        object.__setattr__(self, "offset", float(offset))
+        object.__setattr__(self, "offset", float(self.offset))
         object.__setattr__(self, "terms",
-                           [(float(c), tuple(qs)) for c, qs in terms])
-        object.__setattr__(self, "var_map", dict(var_map))
-
-    def __setattr__(self, key, value):
-        raise AttributeError("Hamiltonian is immutable")
+                           [(float(c), tuple(qs)) for c, qs in self.terms])
+        object.__setattr__(self, "var_map", dict(self.var_map))
 
     @property
     def n_qubits(self) -> int:

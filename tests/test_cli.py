@@ -4,15 +4,25 @@ Every invocation goes through main(argv) in-process so coverage and
 monkeypatching work; the console script wraps the same entry point.
 """
 
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from vqf.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
-from vqf.circuit import BoundCircuit, ParamCircuit, parse_qasm
-from vqf.transform import Hamiltonian
+from vqf.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, RunConfig,
+                     _build_parser, _config_from_args, main)
+from vqf.circuit import BoundCircuit, CircuitStats, Gate, ParamCircuit, parse_qasm
+from vqf.errors import InvalidConfig, InvalidPenaltyCoefficients
+from vqf.evaluate import NrpgReport, SweepConfig
+from vqf.optimize import OptResult
+from vqf.pboly import pvar, qvar
+from vqf.transform import GROBNER, Hamiltonian
+
+_BENCH_291311 = (Path(__file__).resolve().parents[1] / "bench" / "data"
+                 / "clauses-291311.txt")
 
 
 def run(*argv):
@@ -191,6 +201,87 @@ def test_cli_flag_overrides_config(workdir):
     assert run("pipeline", "--config", str(cfg), "--dry-run",
                "--out", str(out2)) == EXIT_OK
     assert list(out2.glob("selection-*.json"))
+
+
+def _config_flag(workdir, doc):
+    """`--config` naming a file that holds doc, or nothing when doc is None."""
+    if doc is None:
+        return []
+    (workdir / "run.json").write_text(json.dumps(doc))
+    return ["--config", str(workdir / "run.json")]
+
+
+@pytest.mark.parametrize("flags, doc", [
+    (["--train-shots", "0"], None),
+    (["--population", "2"], None),
+    (["--generations", "0"], None),
+    (["--level", "-1"], None),
+    (["--level", "1.5"], None),
+    ([], {"seeds": []}),
+    ([], {"levels": []}),
+], ids=["train-shots-0", "population-2", "generations-0", "level-neg",
+        "level-above-1", "no-seeds", "no-levels"])
+def test_bad_sweep_settings_fail_before_any_artifact(workdir, flags, doc):
+    # a dry run never sweeps, so only the config itself can reject these
+    assert run("pipeline", "--dry-run", "--n", "143", "--bits", "4",
+               "--out", str(workdir / "out"), *flags,
+               *_config_flag(workdir, doc)) == EXIT_CONFIG
+    assert not (workdir / "out").exists()
+
+
+_QUICK_START = ("pipeline --n 143 --bits 4 --p 1 --level 0 --level 0.5 "
+                "--level 1.0 --seed 0 --seed 1 --train-shots 512 "
+                "--population 10 --generations 15 --reuse-params --out runs/143")
+_NOISY_TRAIN = (f"sweep --clauses {_BENCH_291311} --transform GROBNER --p 1 "
+                "--level 1.0 --seed 0 --train-shots 512 --report-shots 2048 "
+                "--population 8 --generations 4 --out out")
+_INT_CONFIG = {"n": 143, "bits": 4, "levels": [0, 1],
+               "noise": {"t1_us": 50, "p1": 0}, "seeds": [0, 1],
+               "transforms": ["grobner"]}
+
+
+@pytest.mark.parametrize("argv, doc, want", [
+    (_QUICK_START, None, "b6b71ac5819e"),
+    (_NOISY_TRAIN, None, "f8db71a8c75a"),
+    ("pipeline --dry-run --n 291311 --bits 10 --p 1 --p 3", None, "69c8bb2d3a8c"),
+    ("pipeline", _INT_CONFIG, "fff14c60d591"),
+], ids=["quick-start", "noisy-train", "dry-run", "int-config"])
+def test_config_hash_is_pinned(workdir, argv, doc, want):
+    # the hash names every artifact, so moving it renames every output
+    args = _build_parser().parse_args(argv.split() + _config_flag(workdir, doc))
+    assert _config_from_args(args).hash12 == want
+
+
+_GATES = [Gate("H", (0,)), Gate("CNOT", (0, 1)),
+          Gate("RZ", (1,), param=("gamma", 0, 2.0))]
+
+
+@pytest.mark.parametrize("make, field, bad, error", [
+    (lambda: RunConfig(n=143, bits=4), "seeds", [], InvalidConfig),
+    (lambda: SweepConfig(), "train_shots", 0, InvalidConfig),
+    (lambda: NrpgReport("143", "DIRECT", 1, 0.5, 0.4, 0.9, 0.125, 0.355,
+                        CircuitStats(4, 23, 34, 44), 0), "p", "one", ValueError),
+    (lambda: Hamiltonian(0.5, [(1.0, (0,))], {pvar(1): 0, qvar(1): 1}),
+     "terms", [(1.0, (0, 0))], ValueError),
+    (lambda: GROBNER, "abc", (1, 1, 1), InvalidPenaltyCoefficients),
+    (lambda: CircuitStats(4, 23, 34, 44), "depth", 45, None),
+    (lambda: OptResult(np.array([0.1, 0.2]), 0.5, 7, 120, [0.5]),
+     "best_objective", "low", ValueError),
+    (lambda: ParamCircuit(2, _GATES, 1), "n_qubits", 1, ValueError),
+    (lambda: BoundCircuit(2, _GATES[:2]), "gates", _GATES, ValueError),
+], ids=["RunConfig", "SweepConfig", "NrpgReport", "Hamiltonian", "TransformKind",
+        "CircuitStats", "OptResult", "ParamCircuit", "BoundCircuit"])
+def test_records_are_frozen_and_replace_revalidates(make, field, bad, error):
+    obj = make()
+    before = getattr(obj, field)
+    with pytest.raises(AttributeError):
+        setattr(obj, field, bad)
+    if error is None:  # no rule to break: replace copies and changes one field
+        assert getattr(dataclasses.replace(obj, **{field: bad}), field) == bad
+    else:
+        with pytest.raises(error):
+            dataclasses.replace(obj, **{field: bad})
+    assert getattr(obj, field) is before
 
 
 # -- pipeline -------------------------------------------------------------------------

@@ -92,6 +92,14 @@ def test_noise_model_rejects(kw):
         NoiseModel(**kw)
 
 
+@pytest.mark.parametrize("field", ["t1_us", "t2_us", "dur1_ns", "dur2_ns"])
+def test_noise_model_rejects_nan_times(field):
+    # NaN fails every comparison, so a check phrased as "reject if bad"
+    # lets it through and sampling then runs with nan damping
+    with pytest.raises(InvalidConfig):
+        NoiseModel(**{field: float("nan")})
+
+
 def test_damp_gamma_formula():
     nm = NoiseModel(t1_us=50.0)
     want = 1.0 - math.exp(-100.0 / 50000.0)
