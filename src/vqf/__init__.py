@@ -18,8 +18,8 @@ from .transform import (TransformKind, DIRECT, SCHALLER, GROBNER, SIM_GROBNER,
                         to_hamiltonian)
 from .circuit import (Gate, ParamCircuit, BoundCircuit, CircuitStats,
                       compile_qaoa, bind, stats, export_qasm, parse_qasm)
-from .sim import (NoiseModel, SampleSet, simulate_statevector, run_trajectory,
-                  sample, estimate_expectation, success_probability)
+from .sim import (NoiseModel, SampleSet, simulate_statevector, sample,
+                  estimate_expectation, success_probability)
 from .optimize import DeConfig, OptResult, minimize, train_qaoa
 from .evaluate import (NrpgReport, SweepConfig, compute_rand, nrpg, sweep,
                        masking_experiment, select_circuit,

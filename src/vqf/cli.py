@@ -34,6 +34,11 @@ from .sim import NoiseModel
 from .transform import (ALL_KINDS, Hamiltonian, TransformKind, apply_transform,
                         to_hamiltonian)
 
+# Part of every hashed config document.  Bump it whenever sampled bits
+# or the report schema change, so that one config hash never names two
+# different outputs.
+OUTPUT_VERSION = 2
+
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
@@ -137,6 +142,7 @@ class RunConfig(SweepConfig):
     def hashed_doc(self) -> Dict:
         doc = dataclasses.asdict(self)
         del doc["out_dir"]
+        doc["output_version"] = OUTPUT_VERSION
         if self.clause_file is not None:
             # identity follows the clause content, not the path
             doc["clause_file"] = hashlib.sha256(
@@ -255,7 +261,7 @@ def _cmd_train(args) -> int:
     doc["config_hash"] = _hash12({
         "hamiltonian": ham.to_json(), "p": args.p, "noise": dataclasses.asdict(nm),
         "shots": args.shots, "seed": args.seed, "population": args.population,
-        "generations": args.generations})
+        "generations": args.generations, "output_version": OUTPUT_VERSION})
     doc["gamma"] = doc["best_params"][:args.p]
     doc["beta"] = doc["best_params"][args.p:]
     out = Path(args.out) if args.out else Path(f"train-{doc['config_hash']}.json")

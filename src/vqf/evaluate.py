@@ -25,7 +25,7 @@ from .errors import (DegenerateBaseline, InvalidConfig, NoFeasibleCandidate,
                      ParseError)
 from .optimize import DeConfig, train_qaoa
 from .pboly import BoolPoly, brute_force_minima
-from .sim import NoiseModel, sample, success_probability
+from .sim import NoiseModel, check_width, sample, success_probability
 from .transform import (ALL_KINDS, Hamiltonian, TransformKind, apply_transform,
                         to_hamiltonian)
 
@@ -213,18 +213,23 @@ def sweep(instance: Instance, transformations: Sequence[TransformKind],
     """
     if cfg is None:
         cfg = SweepConfig()
-    cs, derived = _clause_system(instance)
-    name = label if label is not None else derived
     levels = sorted({float(i) for i in noise_levels})
     if not levels or levels[0] < 0.0:
         raise InvalidConfig(f"noise levels must be nonnegative, got {noise_levels}")
     if 0.0 not in levels:
         levels = [0.0] + levels
-
-    reports: List[NrpgReport] = []
+    noise = {i: cfg.noise.with_scale(i) for i in levels}  # NoiseModel checks each
+    cs, derived = _clause_system(instance)
+    name = label if label is not None else derived
+    hams = []
     for kind in transformations:
         poly, _aux = apply_transform(cs, kind)
         h = to_hamiltonian(poly)
+        check_width(h.n_qubits, noise[levels[-1]])
+        hams.append((kind, poly, h))
+
+    reports: List[NrpgReport] = []
+    for kind, poly, h in hams:
         rand = compute_rand(poly)
         solutions = minimizer_bitstrings(h)
         for p in p_list:
@@ -236,12 +241,10 @@ def sweep(instance: Instance, transformations: Sequence[TransformKind],
 
                 def measure(params, scale):
                     bound = circuit.bind(params[:p], params[p:])
-                    shots = sample(bound, cfg.noise.with_scale(scale),
-                                   cfg.report_shots, eval_seed)
+                    shots = sample(bound, noise[scale], cfg.report_shots, eval_seed)
                     return success_probability(shots, solutions)
 
-                base = train_qaoa(h, p, cfg.noise.with_scale(0.0),
-                                  cfg.train_shots, de_cfg)
+                base = train_qaoa(h, p, noise[0.0], cfg.train_shots, de_cfg)
                 m_0p = measure(base.best_params, 0.0)
                 for i in levels:
                     if i == 0.0:
@@ -249,8 +252,7 @@ def sweep(instance: Instance, transformations: Sequence[TransformKind],
                     elif cfg.reuse_params:
                         m_ip = measure(base.best_params, i)
                     else:
-                        res = train_qaoa(h, p, cfg.noise.with_scale(i),
-                                         cfg.train_shots, de_cfg)
+                        res = train_qaoa(h, p, noise[i], cfg.train_shots, de_cfg)
                         m_ip = measure(res.best_params, i)
                     reports.append(NrpgReport(
                         name, kind.name, p, i, m_ip, m_0p, rand,

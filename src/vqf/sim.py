@@ -1,25 +1,17 @@
-"""Noisy circuit sampling: an exact density matrix or stochastic trajectories.
+"""Noisy circuit sampling from the exact output distribution.
 
-Both engines apply the same channels after every gate (depolarizing noise,
-then amplitude damping and pure dephasing on each participating qubit) and
-draw i.i.d. shots from the resulting output distribution, so they differ
-only in cost and in which bits a given seed yields.
+After every gate the same channels act on its qubits: depolarizing noise,
+then amplitude damping and pure dephasing on each participating qubit.
+With any of them active, `sample` evolves the density matrix rho exactly,
+as one flat vector on a doubled 2n-qubit register, and draws every shot
+from diag(rho).  Each run of consecutive gates on at most two qubits is
+folded, channels included, into one superoperator of at most 16 x 16, and
+each such block costs one pass over the 4^n entries.  Noisy simulation
+stops at 11 qubits (`_MAX_NOISY_QUBITS`).  Without noise, one statevector
+pass serves up to 24 qubits.
 
-* The density-matrix engine evolves rho as one vector on a doubled
-  2n-qubit register and draws every shot from diag(rho).  It runs when
-  4^n fits `_AMP_BUDGET` and the shot count m is at least 2^(n+1); one
-  pass then costs less than the trajectories it replaces.
-* The trajectory engine evolves one pure state per shot: depolarizing
-  noise may insert a random Pauli, each qubit may undergo an
-  amplitude-damping jump (probability proportional to its excited-state
-  population, the standard Monte-Carlo wavefunction rule, so the ensemble
-  reproduces the channel) followed by a pure-dephasing Z flip.  Shots are
-  batched per 256-shot block into a (rows, 2^n) array.
-
-The engine is chosen from (n, m) alone and all randomness comes from
-counter-keyed substreams, so results are byte-identical regardless of
-thread count (`VQF_THREADS`) or chunking.  The noiseless case collapses
-to one statevector pass.
+Shot j draws its uniform from a counter-keyed substream, so the result is
+a deterministic function of (circuit, noise model, shot count, seed).
 
 A measured outcome is a basis index (bit k is qubit k) from sampling
 through scoring.  Bitstrings (character k is qubit k) appear only at the
@@ -31,12 +23,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import exp, sqrt
-from typing import Dict, List, Mapping, Sequence, Set, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -46,10 +36,16 @@ from .errors import InvalidConfig, ParseError, TooManyQubits
 # Shots per random-stream block; compatibility constant, do not change.
 SHOT_BLOCK = 256
 
-# Max amplitudes simulated at once (~128 MB of complex128).
-_AMP_BUDGET = 1 << 23
-
 _MAX_QUBITS = 24
+
+# Noisy runs hold two density-matrix buffers of 4^n complex entries,
+# 128 MB in all at 11 qubits.
+_MAX_NOISY_QUBITS = 11
+
+# Most multiply-adds per BLAS call when a block is applied.  OpenBLAS
+# hands larger products to extra threads, which then spin for about
+# 0.1 s of CPU after every call and save little wall time at these sizes.
+_GEMM_MACS = 1 << 14
 
 Seed = Union[int, Sequence[int]]
 
@@ -270,96 +266,6 @@ def _apply_unitary(states: np.ndarray, n: int, g: Gate) -> None:
         s1 += msin * tmp
 
 
-def _apply_pauli_rows(states: np.ndarray, n: int, rows: np.ndarray,
-                      which: int, k: int) -> None:
-    """Pauli (1=X, 2=Y, 3=Z) on qubit k of the selected rows."""
-    sub = states[rows]
-    v = _view(sub, n, k)
-    if which == 1:
-        tmp = v[:, :, 0, :].copy()
-        v[:, :, 0, :] = v[:, :, 1, :]
-        v[:, :, 1, :] = tmp
-    elif which == 2:
-        tmp = v[:, :, 0, :].copy()
-        v[:, :, 0, :] = -1j * v[:, :, 1, :]
-        v[:, :, 1, :] = 1j * tmp
-    else:
-        v[:, :, 1, :] *= -1.0
-    states[rows] = sub
-
-
-def _depolarize(states: np.ndarray, n: int, g: Gate, prob: float,
-                u_event: np.ndarray, u_choice: np.ndarray) -> None:
-    hit = np.flatnonzero(u_event < prob)
-    if hit.size == 0:
-        return
-    if g.kind == "CNOT":
-        # uniformly one of the 15 nontrivial two-qubit Paulis, control-major
-        pick = np.minimum((u_choice[hit] * 15).astype(np.int64), 14) + 1
-        for code in np.unique(pick):
-            rows = hit[pick == code]
-            pc, pt = int(code) // 4, int(code) % 4
-            if pc:
-                _apply_pauli_rows(states, n, rows, pc, g.qubits[0])
-            if pt:
-                _apply_pauli_rows(states, n, rows, pt, g.qubits[1])
-    else:
-        pick = np.minimum((u_choice[hit] * 3).astype(np.int64), 2) + 1
-        for code in (1, 2, 3):
-            rows = hit[pick == code]
-            if rows.size:
-                _apply_pauli_rows(states, n, rows, code, g.qubits[0])
-
-
-def _damp(states: np.ndarray, n: int, k: int, gamma_s: float,
-          u: np.ndarray, mass: np.ndarray) -> None:
-    """Amplitude damping on qubit k, one stochastic jump decision per row.
-
-    Renormalization is deferred: `mass` tracks each row's squared norm and
-    jump probabilities and measurement thresholds divide by it, which
-    reproduces the normalize-every-step trajectory exactly.
-    """
-    v = _view(states, n, k)
-    s1 = v[:, :, 1, :]
-    pop1 = (s1.real ** 2 + s1.imag ** 2).sum(axis=(1, 2))
-    jump = u * mass < gamma_s * pop1
-    hit = np.flatnonzero(jump)
-    if hit.size:
-        excited = v[hit, :, 1, :]
-        v[hit, :, 0, :] = excited
-        v[hit, :, 1, :] = 0.0
-    s1 *= sqrt(1.0 - gamma_s)
-    mass -= gamma_s * pop1
-    if hit.size:
-        mass[hit] = pop1[hit]
-
-
-def _dephase(states: np.ndarray, n: int, k: int, prob: float,
-             u: np.ndarray) -> None:
-    hit = np.flatnonzero(u < prob)
-    if hit.size:
-        _apply_pauli_rows(states, n, hit, 3, k)
-
-
-class _DrawPlan:
-    """Fixed column layout of per-shot gate-noise draws for one circuit.
-
-    Columns per gate: [depol event, depol choice] then [damp, dephase] per
-    participating qubit, always reserved whether or not a noise source is
-    enabled, so masked runs consume aligned streams.
-    """
-
-    __slots__ = ("offsets", "total")
-
-    def __init__(self, circuit: BoundCircuit):
-        self.offsets: List[int] = []
-        col = 0
-        for g in circuit.gates:
-            self.offsets.append(col)
-            col += 2 + 2 * len(g.qubits)
-        self.total = col
-
-
 def _noise_active(nm: NoiseModel) -> Tuple[bool, bool]:
     gate = nm.gate_noise_on and nm.scale > 0 and (nm.p1 > 0 or nm.p2 > 0)
     deco = nm.decoherence_on and nm.scale > 0 and (
@@ -377,76 +283,31 @@ def _channel_rates(nm: NoiseModel) -> Tuple[Dict[bool, float], ...]:
     return probs, gammas, flips
 
 
-def _evolve_block(circuit: BoundCircuit, nm: NoiseModel, draws: np.ndarray,
-                  plan: _DrawPlan) -> np.ndarray:
-    """Run `draws.shape[0]` trajectories; returns (rows, 2^n) states.
+def check_width(n_qubits: int, nm: Optional[NoiseModel] = None) -> None:
+    """Raise TooManyQubits unless `sample` can run n qubits under `nm`.
 
-    Rows are left unnormalized; `mass` carries each row's squared norm so
-    jump decisions stay exact probabilities.
+    Without active noise one 2^n statevector is evolved, up to 24 qubits;
+    with noise, the 4^n-entry density matrix, up to 11 qubits.
     """
-    n = circuit.n_qubits
-    rows = draws.shape[0]
-    states = np.zeros((rows, 1 << n), dtype=np.complex128)
-    states[:, 0] = 1.0
-    mass = np.ones(rows)
-    gate_on, deco_on = _noise_active(nm)
-    probs, gammas, flips = _channel_rates(nm)
-    for g, base in zip(circuit.gates, plan.offsets):
-        _apply_unitary(states, n, g)
-        two = g.kind == "CNOT"
-        if gate_on and probs[two] > 0:
-            _depolarize(states, n, g, probs[two],
-                        draws[:, base], draws[:, base + 1])
-        if deco_on:
-            gamma_s, pz = gammas[two], flips[two]
-            col = base + 2
-            for k in g.qubits:
-                if gamma_s > 0:
-                    _damp(states, n, k, gamma_s, draws[:, col], mass)
-                if pz > 0:
-                    _dephase(states, n, k, pz, draws[:, col + 1])
-                col += 2
-    return states
-
-
-def _measure_rows(states: np.ndarray, u: np.ndarray) -> np.ndarray:
-    probs = states.real ** 2 + states.imag ** 2
-    cum = np.cumsum(probs, axis=1)
-    # per-row searchsorted(cum, u * norm^2, "right"); rows self-normalize
-    out = (cum <= (u * cum[:, -1])[:, None]).sum(axis=1)
-    return np.minimum(out, states.shape[1] - 1)
-
-
-def _check_size(circuit: BoundCircuit) -> None:
-    if circuit.n_qubits > _MAX_QUBITS:
+    if n_qubits > _MAX_QUBITS:
         raise TooManyQubits(
-            f"{circuit.n_qubits} qubits exceeds the {_MAX_QUBITS}-qubit simulator cap")
+            f"{n_qubits} qubits exceeds the {_MAX_QUBITS}-qubit simulator cap")
+    noisy = nm is not None and any(_noise_active(nm))
+    if noisy and n_qubits > _MAX_NOISY_QUBITS:
+        raise TooManyQubits(
+            f"{n_qubits} qubits exceeds the {_MAX_NOISY_QUBITS}-qubit cap "
+            "on noisy simulation")
 
 
 def simulate_statevector(circuit: BoundCircuit) -> np.ndarray:
     """Exact noiseless final state (2^n complex amplitudes)."""
-    _check_size(circuit)
+    check_width(circuit.n_qubits)
     n = circuit.n_qubits
     states = np.zeros((1, 1 << n), dtype=np.complex128)
     states[0, 0] = 1.0
     for g in circuit.gates:
         _apply_unitary(states, n, g)
     return states[0]
-
-
-def run_trajectory(circuit: BoundCircuit, nm: NoiseModel, seed: Seed) -> np.ndarray:
-    """One stochastic trajectory; equals shot 0 of the trajectory sampler
-    (`_sample_trajectories`) at this seed, whichever engine `sample` picks."""
-    _check_size(circuit)
-    seed_t = _seed_tuple(seed)
-    plan = _DrawPlan(circuit)
-    gate_on, deco_on = _noise_active(nm)
-    if not (gate_on or deco_on):
-        return simulate_statevector(circuit)
-    rng = np.random.default_rng([*seed_t, 0, 0])
-    draws = rng.random((1, plan.total))
-    state = _evolve_block(circuit, nm, draws, plan)[0]
-    return state / np.linalg.norm(state)
 
 
 def _block_rows(block: int, m: int) -> int:
@@ -456,8 +317,8 @@ def _block_rows(block: int, m: int) -> int:
 def _draw(probs: np.ndarray, m: int, seed_t: Tuple[int, ...]) -> np.ndarray:
     """m basis indices by inverse CDF over the unnormalized `probs`.
 
-    Shot j's uniform comes from substream (*seed, j // 256, 1), the same
-    measurement stream the trajectory sampler uses.
+    Shot j's uniform comes from substream (*seed, j // 256, 1), so shot j
+    reads the same uniform whatever m is.
     """
     cum = np.cumsum(probs)
     u = np.concatenate([
@@ -465,17 +326,6 @@ def _draw(probs: np.ndarray, m: int, seed_t: Tuple[int, ...]) -> np.ndarray:
         for block in range((m + SHOT_BLOCK - 1) // SHOT_BLOCK)])
     return np.minimum(np.searchsorted(cum, u * cum[-1], side="right"),
                       probs.size - 1)
-
-
-def _uses_density(n: int, m: int) -> bool:
-    """Engine rule for noisy sampling, from circuit width and shot count only.
-
-    A density-matrix pass does 4^n work per gate, a trajectory 2^n.  Timed
-    on one thread for n = 3..10, one pass cost as much as 2^n to 2^(n+1)
-    trajectories, so from m = 2^(n+1) on it is never the slower engine.
-    The rule ignores VQF_THREADS so that sampled bits cannot depend on it.
-    """
-    return 4 ** n <= _AMP_BUDGET and 2 ** (n + 1) <= m
 
 
 def _conjugate(g: Gate, n: int) -> Gate:
@@ -488,13 +338,14 @@ def _conjugate(g: Gate, n: int) -> Gate:
 
 def _block(rho_t: np.ndarray, n: int, qubits: Sequence[int],
            ket: int, bra: int) -> np.ndarray:
-    """View of rho with the ket bits of `qubits` fixed to `ket` and their
-    bra bits to `bra` (bit j of each selects qubits[j])."""
+    """View of a batch of density matrices, shape (rows, 2, ..., 2), with
+    the ket bits of `qubits` fixed to `ket` and their bra bits to `bra`
+    (bit j of each selects qubits[j])."""
     idx: List[Union[int, slice]] = [slice(None)] * (2 * n)
     for j, q in enumerate(qubits):
         idx[2 * n - 1 - q] = (ket >> j) & 1
         idx[n - 1 - q] = (bra >> j) & 1
-    return rho_t[(*idx, ...)]  # the Ellipsis keeps a 0-d result a view
+    return rho_t[(..., *idx)]
 
 
 def _depolarize_density(rho_t: np.ndarray, n: int, qubits: Sequence[int],
@@ -502,7 +353,7 @@ def _depolarize_density(rho_t: np.ndarray, n: int, qubits: Sequence[int],
     """rho -> (1 - lam) rho + lam (I/d (x) Tr_qubits rho), lam = prob d^2/(d^2 - 1).
 
     Equal to (1 - prob) rho + prob/(d^2 - 1) * (sum over the nontrivial
-    Paulis P of P rho P), the channel the trajectories sample.
+    Paulis P of P rho P), the Pauli form the reference in the tests uses.
     """
     d = 1 << len(qubits)
     lam = prob * d * d / (d * d - 1)
@@ -526,114 +377,108 @@ def _relax_density(rho_t: np.ndarray, n: int, k: int, gamma_s: float,
         off *= coherence
 
 
+def _superoperator(gates: Sequence[Gate], qubits: Tuple[int, ...],
+                   nm: NoiseModel) -> np.ndarray:
+    """The channel of `gates`, each followed by its noise, on `qubits` alone.
+
+    A 4^k x 4^k matrix on the local index ket + (bra << k), local qubit j
+    being qubits[j].  It runs the per-gate code on all 4^k basis entries
+    at once, one per row: U on the ket and conj(U) on the bra, then
+    depolarizing noise, then damping and dephasing of each gate qubit.
+    Row j ends as the image of entry j, so the matrix is the transpose.
+    """
+    k = len(qubits)
+    local = {q: j for j, q in enumerate(qubits)}
+    rows = np.eye(1 << (2 * k), dtype=np.complex128)
+    rho_t = rows.reshape((-1,) + (2,) * (2 * k))
+    gate_on, deco_on = _noise_active(nm)
+    probs, gammas, flips = _channel_rates(nm)
+    for g in gates:
+        g = Gate(g.kind, tuple(local[q] for q in g.qubits), angle=g.angle)
+        _apply_unitary(rows, 2 * k, g)
+        _apply_unitary(rows, 2 * k, _conjugate(g, k))
+        two = g.kind == "CNOT"
+        if gate_on and probs[two] > 0:
+            _depolarize_density(rho_t, k, g.qubits, probs[two])
+        if deco_on:
+            for q in g.qubits:
+                _relax_density(rho_t, k, q, gammas[two], flips[two])
+    return rows.T
+
+
+def _fuse(gates: Sequence[Gate]) -> List[Tuple[Tuple[int, ...], List[Gate]]]:
+    """Split the gate list into runs of consecutive gates on at most two
+    qubits; returns (sorted qubits, gates) per run."""
+    runs: List[Tuple[Set[int], List[Gate]]] = []
+    for g in gates:
+        if runs and len(runs[-1][0].union(g.qubits)) <= 2:
+            runs[-1][0].update(g.qubits)
+            runs[-1][1].append(g)
+        else:
+            runs.append((set(g.qubits), [g]))
+    return [(tuple(sorted(qs)), run) for qs, run in runs]
+
+
 def _evolve_density(circuit: BoundCircuit, nm: NoiseModel) -> np.ndarray:
     """Exact output density matrix as one flat vector of 4^n entries.
 
-    Entry ket + (bra << n) holds rho[ket, bra]: qubits 0..n-1 of the
-    doubled register carry the ket, qubits n..2n-1 the bra.  U rho U^dagger
-    is U on the ket qubits and conj(U) on the bra qubits.  Channels,
-    masks, scale and per-gate order mirror `_evolve_block`.
+    Entry ket + (bra << n) holds rho[ket, bra]: index bits 0..n-1 carry
+    the ket, bits n..2n-1 the bra.  Each run of gates from `_fuse` acts as
+    one `_superoperator` block (Wood, Biamonte & Cory 2015).  rho lives
+    in one of two buffers as a tensor of 2n binary axes, kept in whatever
+    axis order the last block left.  A block gathers its own axes to the
+    front with one transposing copy into the other buffer, skipped when
+    they are already there, then one matmul writes it back, as a stack
+    of small products (`_GEMM_MACS`).
     """
     n = circuit.n_qubits
-    rho = np.zeros((1, 1 << (2 * n)), dtype=np.complex128)
-    rho[0, 0] = 1.0
-    rho_t = rho.reshape((2,) * (2 * n))
-    gate_on, deco_on = _noise_active(nm)
-    probs, gammas, flips = _channel_rates(nm)
-    for g in circuit.gates:
-        _apply_unitary(rho, 2 * n, g)
-        _apply_unitary(rho, 2 * n, _conjugate(g, n))
-        two = g.kind == "CNOT"
-        if gate_on and probs[two] > 0:
-            _depolarize_density(rho_t, n, g.qubits, probs[two])
-        if deco_on:
-            for k in g.qubits:
-                _relax_density(rho_t, n, k, gammas[two], flips[two])
-    return rho[0]
-
-
-def _sample_chunk_noisy(circuit: BoundCircuit, nm: NoiseModel, plan: _DrawPlan,
-                        seed_t: Tuple[int, ...],
-                        blocks: Sequence[Tuple[int, int]]) -> np.ndarray:
-    """Evolve several whole blocks as one batch; streams stay per-block."""
-    draws = np.concatenate([
-        np.random.default_rng([*seed_t, b, 0]).random((rows, plan.total))
-        for b, rows in blocks])
-    u = np.concatenate([
-        np.random.default_rng([*seed_t, b, 1]).random(rows)
-        for b, rows in blocks])
-    states = _evolve_block(circuit, nm, draws, plan)
-    return _measure_rows(states, u)
-
-
-def _chunk_blocks(n_blocks: int, m: int, n_qubits: int,
-                  threads: int) -> List[List[Tuple[int, int]]]:
-    """Split blocks into contiguous groups bounded by the amplitude budget."""
-    max_rows = max(SHOT_BLOCK, _AMP_BUDGET >> n_qubits)
-    want = max((m + max_rows - 1) // max_rows, min(threads, n_blocks))
-    per = (n_blocks + want - 1) // want
-    groups = []
-    for lo in range(0, n_blocks, per):
-        groups.append([(b, _block_rows(b, m))
-                       for b in range(lo, min(lo + per, n_blocks))])
-    return groups
-
-
-def _sample_trajectories(circuit: BoundCircuit, nm: NoiseModel, m: int,
-                         seed_t: Tuple[int, ...], threads: int) -> np.ndarray:
-    """Basis index of each of m shots, one fresh trajectory per shot.
-
-    Shot j draws from substreams keyed (seed, j // 256); the result does
-    not depend on `threads` or on chunking.
-    """
-    plan = _DrawPlan(circuit)
-    n_blocks = (m + SHOT_BLOCK - 1) // SHOT_BLOCK
-    groups = _chunk_blocks(n_blocks, m, circuit.n_qubits, threads)
-    if threads > 1 and len(groups) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_sample_chunk_noisy, circuit, nm, plan,
-                                   seed_t, grp) for grp in groups]
-            return np.concatenate([f.result() for f in futures])
-    return np.concatenate([_sample_chunk_noisy(circuit, nm, plan, seed_t, grp)
-                           for grp in groups])
+    src = np.zeros(1 << (2 * n), dtype=np.complex128)
+    src[0] = 1.0
+    dst = np.empty_like(src)
+    shape = (2,) * (2 * n)
+    canonical = list(range(2 * n - 1, -1, -1))  # the index bit of each axis
+    order = canonical
+    for qubits, gates in _fuse(circuit.gates):
+        sup = _superoperator(gates, qubits, nm)
+        front = [q + n for q in reversed(qubits)] + list(reversed(qubits))
+        new = front + [b for b in order if b not in front]
+        if new != order:
+            np.copyto(dst.reshape(shape), src.reshape(shape).transpose(
+                [order.index(b) for b in new]))
+            src, dst, order = dst, src, new
+        rows = sup.shape[0]
+        cols = min(src.size // rows, _GEMM_MACS // (rows * rows))
+        slabs = (rows, src.size // (rows * cols), cols)
+        np.matmul(sup, src.reshape(slabs).transpose(1, 0, 2),
+                  out=dst.reshape(slabs).transpose(1, 0, 2))
+        src, dst = dst, src
+    np.copyto(dst.reshape(shape), src.reshape(shape).transpose(
+        [order.index(b) for b in canonical]))
+    return dst
 
 
 def sample(circuit: BoundCircuit, nm: NoiseModel, m: int, seed: Seed) -> SampleSet:
     """M i.i.d. shots of the circuit under noise model `nm`, measured once each.
 
-    The engine follows from the input alone: with no active noise, one
-    exact statevector; with noise, the exact density matrix when
-    `_uses_density(n, m)` holds, else one trajectory per shot.  Each
-    samples the same channel.  The result is a deterministic function of
-    (circuit, nm, m, seed), independent of thread count (VQF_THREADS,
-    which must be an integer) and chunking.
+    With no active noise the shots come from one exact statevector, else
+    from the diagonal of the exact density matrix (`_evolve_density`,
+    up to 11 qubits); `_draw` draws them the same way in both cases.  The
+    result is a deterministic function of (circuit, nm, m, seed).
     """
-    _check_size(circuit)
+    check_width(circuit.n_qubits, nm)
     if m < 1:
         raise InvalidConfig(f"shot count must be >= 1, got {m}")
-    threads = _thread_count()
-    seed_t = _seed_tuple(seed)
     n = circuit.n_qubits
-    gate_on, deco_on = _noise_active(nm)
-    if not (gate_on or deco_on):
-        state = simulate_statevector(circuit)
-        idx = _draw(state.real ** 2 + state.imag ** 2, m, seed_t)
-    elif _uses_density(n, m):
+    if any(_noise_active(nm)):
         rho = _evolve_density(circuit, nm)
         # diag(rho) sits at stride 2^n + 1; clip rounding below zero
-        idx = _draw(np.maximum(rho[::(1 << n) + 1].real, 0.0), m, seed_t)
+        probs = np.maximum(rho[::(1 << n) + 1].real, 0.0)
     else:
-        idx = _sample_trajectories(circuit, nm, m, seed_t, threads)
+        state = simulate_statevector(circuit)
+        probs = state.real ** 2 + state.imag ** 2
+    idx = _draw(probs, m, _seed_tuple(seed))
     values, counts = np.unique(idx, return_counts=True)
     return SampleSet._from_indices(n, values, counts, m)
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("VQF_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise InvalidConfig(f"VQF_THREADS must be an integer, got {raw!r}")
 
 
 def estimate_expectation(samples: SampleSet, energies: np.ndarray) -> float:

@@ -241,10 +241,10 @@ _INT_CONFIG = {"n": 143, "bits": 4, "levels": [0, 1],
 
 
 @pytest.mark.parametrize("argv, doc, want", [
-    (_QUICK_START, None, "b6b71ac5819e"),
-    (_NOISY_TRAIN, None, "f8db71a8c75a"),
-    ("pipeline --dry-run --n 291311 --bits 10 --p 1 --p 3", None, "69c8bb2d3a8c"),
-    ("pipeline", _INT_CONFIG, "fff14c60d591"),
+    (_QUICK_START, None, "960a1c476c6e"),
+    (_NOISY_TRAIN, None, "647c8036a036"),
+    ("pipeline --dry-run --n 291311 --bits 10 --p 1 --p 3", None, "0c566d824076"),
+    ("pipeline", _INT_CONFIG, "cb6fda5d4e1f"),
 ], ids=["quick-start", "noisy-train", "dry-run", "int-config"])
 def test_config_hash_is_pinned(workdir, argv, doc, want):
     # the hash names every artifact, so moving it renames every output

@@ -10,7 +10,6 @@ import itertools
 import pytest
 
 from vqf.encoder import (
-    ClauseSystem,
     FactoringInstance,
     build_clauses,
     clause_file_text,
@@ -23,7 +22,7 @@ from vqf.encoder import (
     write_clause_file,
 )
 from vqf.errors import Infeasible, InfeasibleInstance
-from vqf.pboly import BoolPoly, brute_force_minima, format_poly, parse_poly, pvar, qvar
+from vqf.pboly import BoolPoly, brute_force_minima, format_poly, parse_poly
 
 
 def _clause_strings(cs):

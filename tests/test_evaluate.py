@@ -1,12 +1,11 @@
 """Resilience scoring: the gain metric, sweeps, reports, selection."""
 
-import json
-
 import pytest
 
 from vqf.circuit import CircuitStats, compile_qaoa, stats
-from vqf.encoder import FactoringInstance, decode_factors
-from vqf.errors import (DegenerateBaseline, InvalidConfig, NoFeasibleCandidate)
+from vqf.encoder import FactoringInstance, decode_factors, make_random_clause_system
+from vqf.errors import (DegenerateBaseline, InvalidConfig, NoFeasibleCandidate,
+                        TooManyQubits)
 from vqf.evaluate import (
     NrpgReport,
     SweepConfig,
@@ -21,7 +20,7 @@ from vqf.evaluate import (
     select_circuit,
     sweep,
 )
-from vqf.pboly import BoolPoly, parse_poly
+from vqf.pboly import BoolPoly
 from vqf.sim import NoiseModel
 from vqf.transform import (ALL_KINDS, DIRECT, GROBNER, SCHALLER, SIM_GROBNER,
                            apply_transform, to_hamiltonian)
@@ -168,6 +167,25 @@ def test_sweep_adds_zero_level_if_missing(system_143):
 def test_sweep_rejects_negative_levels(system_143):
     with pytest.raises(InvalidConfig):
         sweep(system_143, [DIRECT], [1], [-0.1, 0.5], _tiny_cfg())
+
+
+def test_sweep_checks_settings_before_any_training(monkeypatch, system_143):
+    calls = []
+
+    def no_training(*args, **kwargs):
+        calls.append(args)
+        raise RuntimeError("trained before the settings were checked")
+
+    monkeypatch.setattr("vqf.evaluate.train_qaoa", no_training)
+    # a level above 1 is not a noise scale
+    with pytest.raises(InvalidConfig):
+        sweep(system_143, [DIRECT], [1], [1.5], _tiny_cfg())
+    # 12 qubits fit the statevector but not the noisy density matrix
+    wide = make_random_clause_system(2, n_bits=6, n_clauses=6)
+    assert to_hamiltonian(apply_transform(wide, DIRECT)[0]).n_qubits == 12
+    with pytest.raises(TooManyQubits):
+        sweep(wide, [DIRECT], [1], [0.5], _tiny_cfg())
+    assert calls == []
 
 
 def test_sweep_rows_sorted_and_complete(system_143):

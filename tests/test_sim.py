@@ -1,11 +1,9 @@
-"""Simulator: exact gate action, noise channels, engines, determinism.
+"""Simulator: exact gate action, noise channels, sampling, determinism.
 
-The channel tests compare shot estimates against closed-form or
-density-matrix references computed independently in this file, with
-tolerances several standard errors wide at the chosen shot counts.  The
-density-matrix engine is checked entry by entry against the Kraus/Pauli
-reference; the trajectory engine is called directly and checked against
-the density matrix under a total-variation bound fixed by the shot count.
+The channel tests compare the density-matrix engine's output
+probabilities with closed forms, and the whole engine entry by entry with
+a Kraus/Pauli reference computed independently in this file.  Noisy
+sampling is checked to draw every shot from the density diagonal.
 """
 
 import math
@@ -22,7 +20,6 @@ from vqf.sim import (
     NoiseModel,
     SampleSet,
     estimate_expectation,
-    run_trajectory,
     sample,
     simulate_statevector,
     success_probability,
@@ -234,35 +231,6 @@ def test_statevector_norm_and_qubit_cap():
         sample(big, QUIET, 10, 0)
 
 
-# -- trajectories -------------------------------------------------------------------
-
-def test_trajectory_is_normalized_under_noise():
-    circ = compile_qaoa(to_hamiltonian(parse_poly("1 - p1 - q1 + 2*p1*q1")), 2)
-    bound = circ.bind([0.4, 0.9], [0.3, 1.1])
-    heavy = NoiseModel(p1=0.2, p2=0.2, t1_us=1.0, t2_us=1.5, dur1_ns=200, dur2_ns=500)
-    for seed in range(4):
-        state = run_trajectory(bound, heavy, seed)
-        assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_trajectory_noiseless_equals_statevector():
-    bound = compile_qaoa(to_hamiltonian(parse_poly("1 - p1 - q1 + 2*p1*q1")), 1)\
-        .bind([0.8], [0.5])
-    assert np.array_equal(run_trajectory(bound, QUIET, 3),
-                          simulate_statevector(bound))
-
-
-def test_trajectory_deterministic():
-    bound = compile_qaoa(to_hamiltonian(parse_poly("1 - p1 - q1 + 2*p1*q1")), 1)\
-        .bind([0.8], [0.5])
-    nm = NoiseModel(p1=0.15, p2=0.15)
-    a = run_trajectory(bound, nm, (5, 9))
-    b = run_trajectory(bound, nm, (5, 9))
-    assert np.array_equal(a, b)
-    c = run_trajectory(bound, nm, (5, 10))
-    assert not np.array_equal(a, c)
-
-
 # -- sampling: conventions and determinism --------------------------------------------
 
 def test_bitstring_convention_qubit_k_is_char_k():
@@ -303,42 +271,6 @@ def _noisy_test_circuit():
     return compile_qaoa(h, 1).bind([0.9], [0.6])
 
 
-def test_sampling_deterministic_across_runs_and_threads():
-    # 2 qubits at 700 shots is density-engine territory for `sample`, so
-    # the trajectory sampler is called directly
-    bound = _noisy_test_circuit()
-    nm = NoiseModel(p1=0.05, p2=0.08)
-    ref = sim._sample_trajectories(bound, nm, 700, (2, 3), 1)
-    assert np.array_equal(sim._sample_trajectories(bound, nm, 700, (2, 3), 1), ref)
-    assert np.array_equal(sim._sample_trajectories(bound, nm, 700, (2, 3), 4), ref)
-
-
-def test_sampling_deterministic_across_chunking(monkeypatch):
-    bound = _noisy_test_circuit()
-    nm = NoiseModel(p1=0.05, p2=0.08)
-    ref = sim._sample_trajectories(bound, nm, 900, (77,), 1)
-    monkeypatch.setattr(sim, "_AMP_BUDGET", 1 << 8)  # one block per chunk
-    assert np.array_equal(sim._sample_trajectories(bound, nm, 900, (77,), 1), ref)
-
-
-def test_thread_env_must_be_integer(monkeypatch):
-    monkeypatch.setenv("VQF_THREADS", "many")
-    bound = _noisy_test_circuit()
-    with pytest.raises(InvalidConfig):
-        sample(bound, NoiseModel(p1=0.05), 300, 0)
-
-
-@pytest.mark.parametrize("nm, m", [
-    (QUIET, 300),                     # noiseless statevector
-    (NoiseModel(p1=0.05), 7),         # trajectories: 7 < 2^(2+1)
-])
-def test_thread_env_checked_on_every_engine(monkeypatch, nm, m):
-    # the density engine's case is test_thread_env_must_be_integer
-    monkeypatch.setenv("VQF_THREADS", "many")
-    with pytest.raises(InvalidConfig, match="VQF_THREADS"):
-        sample(_noisy_test_circuit(), nm, m, 0)
-
-
 def _wide_circuit(n):
     """H layer, CNOT-RZ-CNOT gadgets in both orientations, RX layer."""
     gates = [Gate("H", (k,)) for k in range(n)]
@@ -350,22 +282,24 @@ def _wide_circuit(n):
     return BoundCircuit(n, gates)
 
 
-def test_engine_choice_depends_on_width_and_shots_only(monkeypatch):
-    assert not sim._uses_density(9, 512)    # noisy training on 291311
-    assert sim._uses_density(9, 1024)
-    assert sim._uses_density(6, 8192)       # quick-start report scoring
-    assert not sim._uses_density(12, 1 << 30)  # 4^12 exceeds the budget
+def test_noisy_sample_draws_from_density_diagonal():
+    # one engine for every shot count: the shots are `_draw` on diag(rho)
     bound = _wide_circuit(8)
     nm = NoiseModel().with_scale(0.5)
-    diag = sim._evolve_density(bound, nm)[::(1 << 8) + 1].real
-    for m, want in ((511, sim._sample_trajectories(bound, nm, 511, (4,), 1)),
-                    (512, sim._draw(np.maximum(diag, 0.0), 512, (4,)))):
-        values, counts = np.unique(want, return_counts=True)
-        want_counts = {format(int(v), "08b")[::-1]: int(c)
-                       for v, c in zip(values, counts)}
-        for threads in ("1", "4"):
-            monkeypatch.setenv("VQF_THREADS", threads)
-            assert sample(bound, nm, m, 4).counts == want_counts
+    diag = np.maximum(sim._evolve_density(bound, nm)[::(1 << 8) + 1].real, 0.0)
+    for m in (1, 7, 511, 512):
+        values, counts = np.unique(sim._draw(diag, m, (4,)), return_counts=True)
+        got = sample(bound, nm, m, 4)
+        assert got.index.tolist() == values.tolist()
+        assert got.count.tolist() == counts.tolist()
+
+
+def test_noisy_sample_rejects_wide_circuit():
+    # noisy simulation stops at 11 qubits, the noiseless path at 24
+    wide = BoundCircuit(12, [Gate("H", (0,))])
+    with pytest.raises(TooManyQubits):
+        sample(wide, NoiseModel(), 1, 0)
+    assert sample(wide, QUIET, 4, 0).total == 4
 
 
 def test_scale_zero_equals_noiseless_path():
@@ -377,12 +311,6 @@ def test_scale_zero_equals_noiseless_path():
 
 # -- channel oracles --------------------------------------------------------------------
 
-def _trajectory_frequencies(circuit, nm, m, seed):
-    """Outcome frequencies by basis index, from the trajectory sampler."""
-    idx = sim._sample_trajectories(circuit, nm, m, (seed,), 1)
-    return np.bincount(idx, minlength=1 << circuit.n_qubits) / m
-
-
 def _density_matrix(circuit, nm):
     """The engine's flat vector, index ket + (bra << n), as rho[ket, bra]."""
     dim = 1 << circuit.n_qubits
@@ -393,16 +321,13 @@ def _exact_probabilities(circuit, nm):
     return np.real(np.diag(_density_matrix(circuit, nm)))
 
 
-# Each closed form is checked twice: against trajectory frequencies within
-# shot noise, and against the density-matrix engine to rounding.
+# Each closed form is checked against the density-matrix engine to rounding.
 
 def test_depolarizing_single_qubit_rate():
     # RX(pi/3) then depolarizing with p = 0.3:
     # P(1) = sin^2(pi/6) + (2p/3)(1 - 2 sin^2(pi/6)) = 0.25 + p/3
     nm = NoiseModel(p1=0.3, p2=0.0, decoherence_on=False)
     bound = BoundCircuit(1, [Gate("RX", (0,), angle=math.pi / 3)])
-    freq = _trajectory_frequencies(bound, nm, 50_000, 13)
-    assert freq[1] == pytest.approx(0.25 + 0.1, abs=0.012)
     assert _exact_probabilities(bound, nm)[1] == pytest.approx(0.35, abs=1e-12)
 
 
@@ -412,8 +337,6 @@ def test_depolarizing_two_qubit_rate():
     nm = NoiseModel(p1=0.0, p2=0.3, decoherence_on=False)
     bound = BoundCircuit(2, [Gate("CNOT", (0, 1))])
     want = [1 - 0.8 * 0.3] + [0.3 * 4 / 15] * 3
-    freq = _trajectory_frequencies(bound, nm, 50_000, 21)
-    assert freq == pytest.approx(want, abs=0.012)
     assert _exact_probabilities(bound, nm) == pytest.approx(want, abs=1e-12)
 
 
@@ -423,8 +346,6 @@ def test_amplitude_damping_rate():
                     dur1_ns=1000.0 * math.log(2.0), gate_noise_on=True)
     assert nm.dephase_prob(nm.dur1_ns) == 0.0
     bound = BoundCircuit(1, [Gate("RX", (0,), angle=math.pi)])
-    freq = _trajectory_frequencies(bound, nm, 20_000, 5)
-    assert freq[1] == pytest.approx(0.5, abs=0.02)
     assert _exact_probabilities(bound, nm)[1] == pytest.approx(0.5, abs=1e-12)
 
 
@@ -433,9 +354,7 @@ def test_dephasing_rate():
     t2 = 0.1 / (-math.log(1.0 - 2 * 0.2))  # pz = 0.2 at dur1 = 100ns
     nm = NoiseModel(p1=0.0, p2=0.0, t1_us=1e12, t2_us=t2, dur1_ns=100.0)
     bound = BoundCircuit(1, [Gate("H", (0,)), Gate("H", (0,))])
-    freq = _trajectory_frequencies(bound, nm, 20_000, 31)
     # second H also dephases, but that leaves populations alone
-    assert freq[1] == pytest.approx(0.2, abs=0.015)
     assert _exact_probabilities(bound, nm)[1] == pytest.approx(0.2, abs=1e-12)
 
 
@@ -491,21 +410,6 @@ def _density_reference(circuit, nm):
     return rho
 
 
-def test_trajectory_ensemble_matches_density_channel():
-    # all three noise mechanisms at once on an entangling circuit; the
-    # sampled distribution must track the analytic channel diagonal
-    bound = BoundCircuit(2, [Gate("H", (0,)), Gate("CNOT", (0, 1)),
-                             Gate("RX", (1,), angle=0.9)])
-    nm = NoiseModel(p1=0.05, p2=0.1, t1_us=2.0, t2_us=3.0,
-                    dur1_ns=150.0, dur2_ns=400.0, scale=0.8)
-    rho = _density_reference(bound, nm)
-    want = np.real(np.diag(rho))
-    assert want.sum() == pytest.approx(1.0, abs=1e-12)
-    got = _trajectory_frequencies(bound, nm, 40_000, 3)
-    tv = 0.5 * np.abs(got - want).sum()
-    assert tv < 0.02
-
-
 _C2 = BoundCircuit(2, [Gate("H", (0,)), Gate("RX", (1,), angle=0.7),
                        Gate("CNOT", (0, 1)), Gate("RZ", (0,), angle=1.3),
                        Gate("CNOT", (1, 0)), Gate("RX", (0,), angle=-0.4),
@@ -526,27 +430,13 @@ _ARMS = {
 
 
 @pytest.mark.parametrize("arm", sorted(_ARMS))
-@pytest.mark.parametrize("circuit", [_C2, _C3], ids=["2q", "3q"])
+@pytest.mark.parametrize("circuit", [_C2, _C3, _wide_circuit(5)],
+                         ids=["2q", "3q", "5q"])
 def test_density_engine_matches_kraus_reference(circuit, arm):
     got = _density_matrix(circuit, _ARMS[arm])
     want = _density_reference(circuit, _ARMS[arm])
     assert np.abs(got - want).max() < 1e-12  # every entry, diagonal included
     assert np.trace(got) == pytest.approx(1.0, abs=1e-12)
-
-
-def _tv_bound(m, d, fail=1e-9):
-    """Total variation that m i.i.d. shots over d outcomes exceed with
-    probability below `fail`: E[TV] <= sqrt((d - 1) / m) / 2, and one shot
-    moves TV by at most 1/m (McDiarmid)."""
-    return 0.5 * math.sqrt((d - 1) / m) + math.sqrt(math.log(1 / fail) / (2 * m))
-
-
-@pytest.mark.parametrize("arm", sorted(_ARMS))
-def test_trajectories_match_density_engine(arm):
-    m = 40_000
-    want = _exact_probabilities(_C3, _ARMS[arm])
-    got = _trajectory_frequencies(_C3, _ARMS[arm], m, 17)
-    assert 0.5 * np.abs(got - want).sum() < _tv_bound(m, 8)
 
 
 # -- estimators ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from vqf.encoder import load_clause_file, make_random_clause_system
 from vqf.errors import InvalidPenaltyCoefficients, ParseError
-from vqf.pboly import BoolPoly, Var, aux, brute_force_minima, parse_poly, pvar, qvar
+from vqf.pboly import BoolPoly, aux, brute_force_minima, parse_poly, pvar, qvar
 from vqf.transform import (
     ALL_KINDS,
     DIRECT,
