@@ -126,6 +126,8 @@ class RunConfig(SweepConfig):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, cast(getattr(self, name)))
         object.__setattr__(self, "probe_depth", int(self.probe_depth))
+        if self.probe_depth not in (0, 1, 2):
+            raise InvalidConfig(f"probe_depth must be 0, 1 or 2, got {self.probe_depth}")
         object.__setattr__(self, "transforms",
                            [k.name for k in _parse_kinds(self.transforms)])
         object.__setattr__(self, "p_list", [int(p) for p in self.p_list])

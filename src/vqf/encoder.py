@@ -20,6 +20,7 @@ variables is preserved exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple, Union
 
@@ -129,6 +130,37 @@ def _excludes_zero(poly: BoolPoly) -> bool:
     return lo > 0 or hi < 0
 
 
+def _excludes_zero_at(clause: BoolPoly) -> Dict[Var, Tuple[bool, bool]]:
+    """For each variable v of clause: do its bounds at v = 0, and at v = 1,
+    exclude 0?
+
+    The verdicts of `_excludes_zero(clause.substitute({v: b}))`, read off
+    the terms: v = 0 drops the monomials holding v, and v = 1 folds each
+    one's coefficient c into the coefficient a of its monomial without v,
+    as `substitute` merges them.
+    """
+    lo, hi = clause.bounds()
+    at: Dict[Var, List] = {}  # v -> [lo0, hi0, lo1, hi1]
+    for m, c in clause.terms.items():
+        for i, v in enumerate(m):
+            b = at.get(v)
+            if b is None:
+                b = at[v] = [lo, hi, lo, hi]
+            if c > 0:  # v = 0: the monomial vanishes
+                b[1] -= c
+            else:
+                b[0] -= c
+            rest = m[:i] + m[i + 1:]  # v = 1: c merges into rest's coefficient
+            if rest:
+                a = clause.terms.get(rest, 0)
+                b[2] += min(a + c, 0) - min(a, 0) - min(c, 0)
+                b[3] += max(a + c, 0) - max(a, 0) - max(c, 0)
+            else:  # a is the constant, counted in both bounds
+                b[2] += c - min(c, 0)
+                b[3] += c - max(c, 0)
+    return {v: (b[0] > 0 or b[1] < 0, b[2] > 0 or b[3] < 0) for v, b in at.items()}
+
+
 def _scan_fixes(clauses: Sequence[BoolPoly]) -> Dict[Var, int]:
     """One pass of the cheap rules over every clause.
 
@@ -170,9 +202,9 @@ def _scan_fixes(clauses: Sequence[BoolPoly]) -> Dict[Var, int]:
 
         # single-clause tightening: a value whose substitution empties the
         # clause's value interval of 0 is impossible
+        excludes = _excludes_zero_at(clause)
         for v in vs:
-            ex0 = _excludes_zero(clause.substitute({v: 0}))
-            ex1 = _excludes_zero(clause.substitute({v: 1}))
+            ex0, ex1 = excludes[v]
             if ex0 and ex1:
                 raise Infeasible(f"{v.name} has no feasible value")
             if ex0:
@@ -241,13 +273,13 @@ def _annihilate_products(clauses: List[BoolPoly]) -> Tuple[List[BoolPoly], bool]
     used = set()
     out: List[BoolPoly] = []
     for c in clauses:
-        kept = BoolPoly.zero()
+        kept = BoolPoly()
         for m, k in c.monomials():
             hit = next((pr for a in range(len(m)) for pr in
                         [(m[a], m[b]) for b in range(a + 1, len(m))]
                         if pr in zero), None)
             if hit is None:
-                kept = kept + BoolPoly.monomial(m, k)
+                kept.terms[m] = k
             else:
                 used.add(hit)
         if kept.is_zero():
@@ -273,10 +305,17 @@ def preprocess(cs: ClauseSystem, probe_depth: int = 2) -> ClauseSystem:
     one-sided values and erasing products that can never switch on.
     Deterministic given probe_depth: scans follow the canonical variable
     order.
+
+    The rules only add, subtract and compare, so each clause whose
+    coefficients are all integral (every clause `build_clauses` makes) is
+    worked on with `int` coefficients, which are much cheaper than
+    Fractions.  The returned clauses hold Fractions, as the input did.
     """
     if probe_depth not in (0, 1, 2):
         raise ValueError("probe_depth must be 0, 1, or 2")
-    clauses = list(cs.clauses)
+    clauses = [BoolPoly({m: k.numerator for m, k in c.terms.items()})
+               if all(k.denominator == 1 for k in c.terms.values()) else c
+               for c in cs.clauses]
     fixes: Dict[Var, FixTarget] = dict(cs.fixes)
 
     def absorb(new: Dict[Var, FixTarget]):
@@ -348,7 +387,7 @@ def preprocess(cs: ClauseSystem, probe_depth: int = 2) -> ClauseSystem:
         key = tuple(sorted((m, c2) for m, c2 in c.terms.items()))
         if key not in seen_keys:
             seen_keys.add(key)
-            unique.append(c)
+            unique.append(BoolPoly({m: Fraction(k) for m, k in c.terms.items()}))
     return ClauseSystem(unique, fixes)
 
 

@@ -3,7 +3,9 @@
 Polynomials here are multilinear: x*x == x for every binary variable, so a
 monomial is a set of distinct variables and multiplication reduces by set
 union.  Coefficients are exact `fractions.Fraction` values; nothing is
-rounded until the spin-Hamiltonian boundary.
+rounded until the spin-Hamiltonian boundary.  The presolve in
+`vqf.encoder` works internally on `int` coefficients, which every
+operation here accepts, and hands back Fractions.
 """
 
 from __future__ import annotations
@@ -129,7 +131,9 @@ class BoolPoly:
     """Multilinear polynomial with exact rational coefficients.
 
     Internal representation: dict mapping a sorted tuple of Vars to a
-    nonzero Fraction.  The empty tuple keys the constant term.
+    nonzero Fraction.  The empty tuple keys the constant term.  Inside
+    `vqf.encoder.preprocess` the coefficients of integral clauses are
+    `int`s instead; every polynomial it returns holds Fractions again.
     """
 
     __slots__ = ("terms",)
@@ -267,7 +271,7 @@ class BoolPoly:
         Each non-constant monomial ranges over {0, coeff}; the bound is the
         sum of per-monomial extremes and is not tight in general.
         """
-        lo = hi = self.constant
+        lo = hi = self.terms.get(_EMPTY, 0)
         for m, c in self.terms.items():
             if not m:
                 continue

@@ -13,7 +13,6 @@ import json
 import time
 
 import numpy as np
-import pytest
 
 from vqf.circuit import compile_qaoa, stats
 from vqf.cli import EXIT_OK, main
@@ -25,8 +24,8 @@ from vqf.optimize import DeConfig, train_qaoa
 from vqf.pboly import Var, brute_force_minima, pvar, qvar
 from vqf.sim import (NoiseModel, estimate_expectation, sample,
                      simulate_statevector, success_probability)
-from vqf.transform import (ALL_KINDS, DIRECT, GROBNER, SCHALLER, SIM_GROBNER,
-                           Hamiltonian, apply_transform, to_hamiltonian)
+from vqf.transform import (ALL_KINDS, DIRECT, SCHALLER, Hamiltonian,
+                           apply_transform, to_hamiltonian)
 
 INSTANCES = ((35, 3, {(5, 7), (7, 5)}),
              (143, 4, {(11, 13), (13, 11)}),

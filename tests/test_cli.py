@@ -211,20 +211,26 @@ def _config_flag(workdir, doc):
     return ["--config", str(workdir / "run.json")]
 
 
-@pytest.mark.parametrize("flags, doc", [
-    (["--train-shots", "0"], None),
-    (["--population", "2"], None),
-    (["--generations", "0"], None),
-    (["--level", "-1"], None),
-    (["--level", "1.5"], None),
-    ([], {"seeds": []}),
-    ([], {"levels": []}),
+_DRY_RUN_143 = ("pipeline", "--dry-run", "--n", "143", "--bits", "4")
+_SWEEP_291311 = ("sweep", "--clauses", str(_BENCH_291311))
+
+
+@pytest.mark.parametrize("command, flags, doc", [
+    (_DRY_RUN_143, ["--train-shots", "0"], None),
+    (_DRY_RUN_143, ["--population", "2"], None),
+    (_DRY_RUN_143, ["--generations", "0"], None),
+    (_DRY_RUN_143, ["--level", "-1"], None),
+    (_DRY_RUN_143, ["--level", "1.5"], None),
+    (_DRY_RUN_143, [], {"seeds": []}),
+    (_DRY_RUN_143, [], {"levels": []}),
+    (_DRY_RUN_143, ["--probe-depth", "9"], None),
+    (_SWEEP_291311, ["--probe-depth", "9"], None),
 ], ids=["train-shots-0", "population-2", "generations-0", "level-neg",
-        "level-above-1", "no-seeds", "no-levels"])
-def test_bad_sweep_settings_fail_before_any_artifact(workdir, flags, doc):
+        "level-above-1", "no-seeds", "no-levels", "probe-depth-9",
+        "sweep-probe-depth-9"])
+def test_bad_sweep_settings_fail_before_any_artifact(workdir, command, flags, doc):
     # a dry run never sweeps, so only the config itself can reject these
-    assert run("pipeline", "--dry-run", "--n", "143", "--bits", "4",
-               "--out", str(workdir / "out"), *flags,
+    assert run(*command, "--out", str(workdir / "out"), *flags,
                *_config_flag(workdir, doc)) == EXIT_CONFIG
     assert not (workdir / "out").exists()
 

@@ -6,11 +6,15 @@ presolve changed behavior.
 """
 
 import itertools
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vqf.encoder import (
     FactoringInstance,
+    _excludes_zero,
+    _excludes_zero_at,
     build_clauses,
     clause_file_text,
     cost_function,
@@ -22,22 +26,38 @@ from vqf.encoder import (
     write_clause_file,
 )
 from vqf.errors import Infeasible, InfeasibleInstance
-from vqf.pboly import BoolPoly, brute_force_minima, format_poly, parse_poly
+from vqf.pboly import (BoolPoly, Var, brute_force_minima, format_poly,
+                       parse_poly, pvar, qvar)
 
 
 def _clause_strings(cs):
     return sorted(format_poly(c) for c in cs.clauses)
 
 
-def _solution_tuples(cs):
-    """All satisfying assignments of the residual system, as tuples over free_vars."""
+def _solutions(cs):
+    """All satisfying assignments of the system, as dicts over free_vars."""
     vs = cs.free_vars
-    out = set()
+    out = []
     for bits in itertools.product((0, 1), repeat=len(vs)):
         a = dict(zip(vs, bits))
         if all(c.evaluate(a) == 0 for c in cs.clauses):
-            out.add(bits)
+            out.append(a)
     return out
+
+
+def _solution_tuples(cs):
+    """All satisfying assignments of the residual system, as tuples over free_vars."""
+    return {tuple(a.values()) for a in _solutions(cs)}
+
+
+@pytest.fixture(scope="module")
+def system_58483():
+    return preprocess(build_clauses(FactoringInstance(58483, 8)))
+
+
+@pytest.fixture(scope="module")
+def system_2867():
+    return preprocess(build_clauses(FactoringInstance(2867, 6)))
 
 
 # -- instance validation --------------------------------------------------------
@@ -111,6 +131,86 @@ def test_presolve_291311(system_291311):
     ]
     assert [v.name for v in system_291311.free_vars] == [
         "p1", "p2", "p5", "q1", "q2", "q5"]
+
+
+def test_presolve_58483(system_58483):
+    assert _clause_strings(system_58483) == [
+        "-1 + p1 + q1",
+        "-1 + p1 + q1 + p4*q4",
+        "-1 + p4 + q4",
+        "-2 + p1 + p4 + q1 + q4",
+        "p1*q1",
+        "p1*q4 + p4*q1",
+    ]
+    assert [v.name for v in system_58483.free_vars] == ["p1", "p4", "q1", "q4"]
+
+
+def test_presolve_2867(system_2867):
+    assert _clause_strings(system_2867) == [
+        "-1 + p1 + q1",
+        "-1 + p1*q4 + p4*q1",
+        "-1 + p4 + q4",
+        "-2 + p1 + p4 + q1 + q4",
+    ]
+    assert [v.name for v in system_2867.free_vars] == ["p1", "p4", "q1", "q4"]
+
+
+@pytest.mark.parametrize("fixture, n, bits, pair", [
+    ("system_291311", 291311, 10, {523, 557}),
+    ("system_58483", 58483, 8, {233, 251}),
+    ("system_2867", 2867, 6, {47, 61}),
+])
+def test_presolved_zero_set_is_the_factor_pairs(request, fixture, n, bits, pair):
+    cs = request.getfixturevalue(fixture)
+    # every ordered pair of bits-bit odd factors whose product is n
+    lo, hi = 2 ** (bits - 1), 2 ** bits
+    want = {(f, n // f) for f in range(lo + 1, hi, 2)
+            if n % f == 0 and lo <= n // f < hi}
+    assert {frozenset(fs) for fs in want} == {frozenset(pair)}
+    assert {decode_factors(cs, a, bits) for a in _solutions(cs)} == want
+
+
+def test_presolve_hands_back_fractions(system_35, system_143, system_291311,
+                                       system_58483, system_2867):
+    # the presolve runs on int coefficients; its result holds Fractions
+    for cs in (system_35, system_143, system_291311, system_58483, system_2867):
+        for c in cs.clauses:
+            assert all(type(k) is Fraction for k in c.terms.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_bits=st.integers(1, 4),
+       n_clauses=st.integers(1, 5), depth=st.sampled_from([0, 1, 2]))
+def test_presolve_keeps_the_projected_solution_set(seed, n_bits, n_clauses, depth):
+    cs = make_random_clause_system(seed, n_bits=n_bits, n_clauses=n_clauses)
+    before = _solutions(cs)
+    out = preprocess(cs, probe_depth=depth)
+    free = out.free_vars
+    assert {tuple(x[v] for v in free) for x in before} == _solution_tuples(out)
+    for x in before:
+        for v in out.fixes:
+            t = resolve_fix(out.fixes, v)
+            assert x[v] == (x[t] if isinstance(t, Var) else t)
+
+
+_TIGHTEN_VARS = (pvar(1), pvar(2), qvar(1), qvar(2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(
+    st.sets(st.sampled_from(_TIGHTEN_VARS), max_size=3),
+    st.fractions(min_value=-4, max_value=4, max_denominator=3)), min_size=1, max_size=8))
+def test_tightening_matches_substitution(terms):
+    clause = BoolPoly.zero()
+    for vs, c in terms:
+        clause = clause + BoolPoly.monomial(vs, c)
+    want = {v: (_excludes_zero(clause.substitute({v: 0})),
+                _excludes_zero(clause.substitute({v: 1})))
+            for v in clause.variables()}
+    assert _excludes_zero_at(clause) == want
+    as_ints = BoolPoly({m: k.numerator if k.denominator == 1 else k
+                        for m, k in clause.terms.items()})
+    assert _excludes_zero_at(as_ints) == want
 
 
 def test_presolve_preserves_solutions_143(raw_143, system_143):

@@ -1,4 +1,4 @@
-"""Every name a `vqf` module imports is used in that module.
+"""Every name a `vqf` module or a test module imports is used in that module.
 
 An AST scan, because no lint tool is a dependency.  `__init__.py` only
 re-exports, so it is exempt.
@@ -9,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "vqf"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "vqf"
+MODULES = sorted(p for p in [*SRC.glob("*.py"), *TESTS.glob("*.py")]
+                 if p.name != "__init__.py")
 
 
 def _unused_imports(tree: ast.Module):
