@@ -25,7 +25,8 @@ from .errors import (DegenerateBaseline, InvalidConfig, NoFeasibleCandidate,
                      ParseError)
 from .optimize import DeConfig, train_qaoa
 from .pboly import BoolPoly, brute_force_minima
-from .sim import NoiseModel, check_width, sample, success_probability
+from .sim import (NoiseModel, _seed_tuple, check_width, sample,
+                  success_probability)
 from .transform import (ALL_KINDS, Hamiltonian, TransformKind, apply_transform,
                         to_hamiltonian)
 
@@ -163,10 +164,10 @@ class SweepConfig:
     def __post_init__(self):
         if not self.seeds:
             raise InvalidConfig("at least one seed is required")
+        object.__setattr__(self, "seeds", _seed_tuple(self.seeds))
         if self.train_shots < 1 or self.report_shots < 1:
             raise InvalidConfig("shot counts must be positive")
         self.de_config(1, 0)  # raises now on a DE budget that training would reject
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         for name, cast in (("train_shots", int), ("report_shots", int),
                            ("max_generations", int), ("tol", float),
                            ("reuse_params", bool)):

@@ -2,13 +2,14 @@
 
 After every gate the same channels act on its qubits: depolarizing noise,
 then amplitude damping and pure dephasing on each participating qubit.
-With any of them active, `sample` evolves the density matrix rho exactly,
-as one flat vector on a doubled 2n-qubit register, and draws every shot
-from diag(rho).  Each run of consecutive gates on at most two qubits is
-folded, channels included, into one superoperator of at most 16 x 16, and
-each such block costs one pass over the 4^n entries.  Noisy simulation
-stops at 11 qubits (`_MAX_NOISY_QUBITS`).  Without noise, one statevector
-pass serves up to 24 qubits.
+With any of them active, `sample` evolves the density matrix rho exactly
+and draws every shot from diag(rho).  rho is held as its 4^n real
+coordinates in the Hermitian operator basis E00, E11, E01 + E10,
+i(E01 - E10) of each qubit.  Each run of consecutive gates on at most two
+qubits is folded, channels included, into one real superoperator of at
+most 16 x 16, and each such block costs one pass over the 4^n
+coordinates.  Noisy simulation stops at 11 qubits (`_MAX_NOISY_QUBITS`).
+Without noise, one statevector pass serves up to 24 qubits.
 
 Shot j draws its uniform from a counter-keyed substream, so the result is
 a deterministic function of (circuit, noise model, shot count, seed).
@@ -38,8 +39,8 @@ SHOT_BLOCK = 256
 
 _MAX_QUBITS = 24
 
-# Noisy runs hold two density-matrix buffers of 4^n complex entries,
-# 128 MB in all at 11 qubits.
+# Noisy runs hold two density-matrix buffers of 4^n float64 coordinates,
+# 64 MB in all at 11 qubits.
 _MAX_NOISY_QUBITS = 11
 
 # Most multiply-adds per BLAS call when a block is applied.  OpenBLAS
@@ -56,8 +57,11 @@ _BITSTRING = re.compile("[01]+")
 
 def _seed_tuple(seed: Seed) -> Tuple[int, ...]:
     if isinstance(seed, (int, np.integer)):
-        return (int(seed),)
-    return tuple(int(s) for s in seed)
+        seed = (seed,)
+    out = tuple(int(s) for s in seed)
+    if any(s < 0 for s in out):
+        raise InvalidConfig(f"seeds must be nonnegative, got {out}")
+    return out
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -188,7 +192,12 @@ class SampleSet:
                 for i, c in zip(self.index, self.count)}
 
     def frequency(self, bitstring: str) -> float:
-        return self.counts.get(bitstring, 0) / self.total
+        """Fraction of shots that read `bitstring` (character k is qubit k)."""
+        x = _bits_index(bitstring, self.n_qubits)
+        j = int(np.searchsorted(self.index, x))
+        if j < self.index.size and self.index[j] == x:
+            return int(self.count[j]) / self.total
+        return 0.0
 
     def to_csv(self) -> str:
         lines = ["bitstring,count"]
@@ -419,28 +428,48 @@ def _fuse(gates: Sequence[Gate]) -> List[Tuple[Tuple[int, ...], List[Gate]]]:
     return [(tuple(sorted(qs)), run) for qs, run in runs]
 
 
-def _evolve_density(circuit: BoundCircuit, nm: NoiseModel) -> np.ndarray:
-    """Exact output density matrix as one flat vector of 4^n entries.
+# A Hermitian one-qubit rho is r0 E00 + r1 E11 + r2 (E01 + E10) +
+# r3 i(E01 - E10) with real r.  `_superoperator` indexes its entries
+# rho[ket, bra] at ket + 2 bra; _TO_ENTRIES maps r to them and _TO_COORDS
+# back.  On two qubits it indexes ket0 + 2 ket1 + 4 bra0 + 8 bra1, while
+# the coordinates go qubit by qubit (c0 + 4 c1), so index bits 1 and 2
+# swap.  A block in coordinates is _TO_COORDS[k] @ S @ _TO_ENTRIES[k],
+# real for every Hermiticity-preserving S.
+_ENTRIES_1 = np.array([[1, 0, 0, 0], [0, 0, 1, -1j], [0, 0, 1, 1j], [0, 1, 0, 0]])
+_COORDS_1 = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0.5, 0.5, 0],
+                      [0, 0.5j, -0.5j, 0]])
+_SWAP_12 = np.arange(16).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).ravel()
+_TO_ENTRIES = {1: _ENTRIES_1, 2: np.kron(_ENTRIES_1, _ENTRIES_1)[_SWAP_12]}
+_TO_COORDS = {1: _COORDS_1, 2: np.kron(_COORDS_1, _COORDS_1)[:, _SWAP_12]}
 
-    Entry ket + (bra << n) holds rho[ket, bra]: index bits 0..n-1 carry
-    the ket, bits n..2n-1 the bra.  Each run of gates from `_fuse` acts as
-    one `_superoperator` block (Wood, Biamonte & Cory 2015).  rho lives
-    in one of two buffers as a tensor of 2n binary axes, kept in whatever
-    axis order the last block left.  A block gathers its own axes to the
-    front with one transposing copy into the other buffer, skipped when
-    they are already there, then one matmul writes it back, as a stack
-    of small products (`_GEMM_MACS`).
+
+def _evolve_density(circuit: BoundCircuit, nm: NoiseModel) -> np.ndarray:
+    """Exact output density matrix as its 4^n real coordinates.
+
+    Coordinate sum_q c_q 4^q weighs the tensor product over qubits q of
+    basis operator c_q: 0 is E00, 1 E11, 2 E01 + E10, 3 i(E01 - E10).  So
+    index bits 2q and 2q+1 carry qubit q, and rho[x, x] is the coordinate
+    with bit 2q equal to bit q of x and every odd bit zero.  Each run of
+    gates from `_fuse` acts as one `_superoperator` block (Wood, Biamonte
+    & Cory 2015), changed to this basis.  rho lives in one of two buffers
+    as a tensor of 2n binary axes, kept in whatever axis order the last
+    block left.  A block gathers its own axes to the front with one
+    transposing copy into the other buffer, skipped when they are already
+    there, then one matmul writes it back, as a stack of small products
+    (`_GEMM_MACS`).
     """
     n = circuit.n_qubits
-    src = np.zeros(1 << (2 * n), dtype=np.complex128)
+    src = np.zeros(1 << (2 * n))
     src[0] = 1.0
     dst = np.empty_like(src)
     shape = (2,) * (2 * n)
     canonical = list(range(2 * n - 1, -1, -1))  # the index bit of each axis
     order = canonical
     for qubits, gates in _fuse(circuit.gates):
-        sup = _superoperator(gates, qubits, nm)
-        front = [q + n for q in reversed(qubits)] + list(reversed(qubits))
+        k = len(qubits)
+        sup = np.ascontiguousarray(
+            (_TO_COORDS[k] @ _superoperator(gates, qubits, nm) @ _TO_ENTRIES[k]).real)
+        front = [b for q in reversed(qubits) for b in (2 * q + 1, 2 * q)]
         new = front + [b for b in order if b not in front]
         if new != order:
             np.copyto(dst.reshape(shape), src.reshape(shape).transpose(
@@ -470,9 +499,10 @@ def sample(circuit: BoundCircuit, nm: NoiseModel, m: int, seed: Seed) -> SampleS
         raise InvalidConfig(f"shot count must be >= 1, got {m}")
     n = circuit.n_qubits
     if any(_noise_active(nm)):
-        rho = _evolve_density(circuit, nm)
-        # diag(rho) sits at stride 2^n + 1; clip rounding below zero
-        probs = np.maximum(rho[::(1 << n) + 1].real, 0.0)
+        coords = _evolve_density(circuit, nm).reshape((4,) * n)
+        # diag(rho): coordinates 0 (E00) and 1 (E11) of every qubit, in
+        # basis-index order; clip rounding below zero
+        probs = np.maximum(coords[(slice(2),) * n].ravel(), 0.0)
     else:
         state = simulate_statevector(circuit)
         probs = state.real ** 2 + state.imag ** 2

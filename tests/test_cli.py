@@ -211,7 +211,8 @@ def _config_flag(workdir, doc):
     return ["--config", str(workdir / "run.json")]
 
 
-_DRY_RUN_143 = ("pipeline", "--dry-run", "--n", "143", "--bits", "4")
+_PIPELINE_143 = ("pipeline", "--n", "143", "--bits", "4")
+_DRY_RUN_143 = _PIPELINE_143 + ("--dry-run",)
 _SWEEP_291311 = ("sweep", "--clauses", str(_BENCH_291311))
 
 
@@ -225,14 +226,27 @@ _SWEEP_291311 = ("sweep", "--clauses", str(_BENCH_291311))
     (_DRY_RUN_143, [], {"levels": []}),
     (_DRY_RUN_143, ["--probe-depth", "9"], None),
     (_SWEEP_291311, ["--probe-depth", "9"], None),
+    (_DRY_RUN_143, [], {"seeds": [0, -1]}),
+    (_PIPELINE_143, ["--seed", "-1"], None),
+    (_SWEEP_291311, ["--seed", "-1"], None),
 ], ids=["train-shots-0", "population-2", "generations-0", "level-neg",
         "level-above-1", "no-seeds", "no-levels", "probe-depth-9",
-        "sweep-probe-depth-9"])
+        "sweep-probe-depth-9", "seed-neg", "pipeline-seed-neg", "sweep-seed-neg"])
 def test_bad_sweep_settings_fail_before_any_artifact(workdir, command, flags, doc):
-    # a dry run never sweeps, so only the config itself can reject these
+    # a dry run never sweeps, so only the config itself can reject these;
+    # a negative seed used to pass it, and the full pipeline wrote its
+    # clauses, Hamiltonians, stats and selection before training failed
     assert run(*command, "--out", str(workdir / "out"), *flags,
                *_config_flag(workdir, doc)) == EXIT_CONFIG
     assert not (workdir / "out").exists()
+
+
+def test_train_rejects_negative_seed(workdir):
+    hams = _transform_143(workdir)
+    before = sorted(workdir.iterdir())
+    assert run("train", "--hamiltonian", str(hams["grobner"]), "--p", "1",
+               "--seed", "-1", "--out", str(workdir / "train.json")) == EXIT_CONFIG
+    assert sorted(workdir.iterdir()) == before
 
 
 _QUICK_START = ("pipeline --n 143 --bits 4 --p 1 --level 0 --level 0.5 "

@@ -136,6 +136,8 @@ def test_sweep_config_validation():
         SweepConfig(seeds=())
     with pytest.raises(InvalidConfig):
         SweepConfig(train_shots=0)
+    with pytest.raises(InvalidConfig):
+        SweepConfig(seeds=(0, -1))
     cfg = SweepConfig(seeds=[0, 1], population_size=10, max_generations=5)
     de = cfg.de_config(2, 7)
     assert de.dim == 4 and de.population_size == 10

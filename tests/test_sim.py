@@ -6,6 +6,7 @@ a Kraus/Pauli reference computed independently in this file.  Noisy
 sampling is checked to draw every shot from the density diagonal.
 """
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -142,7 +143,16 @@ def test_sample_set_csv_round_trip():
     back = SampleSet.from_csv(s.to_csv())
     assert back.counts == s.counts and back.total == 10
     assert s.frequency("10") == 0.5
+    assert s.frequency("01") == 0.3 and s.frequency("11") == 0.2
     assert s.frequency("00") == 0.0
+
+
+@pytest.mark.parametrize("bits", ["xx", "1", "101", "", "0 "])
+def test_sample_set_frequency_rejects_malformed_bitstrings(bits):
+    # these used to read 0.0, as if the outcome had never been seen
+    s = SampleSet({"01": 3, "10": 5, "11": 2}, 10)
+    with pytest.raises(InvalidConfig):
+        s.frequency(bits)
 
 
 def test_sample_set_csv_rejects():
@@ -266,19 +276,29 @@ def test_sampling_rejects_zero_shots():
         sample(bound, QUIET, 0, 1)
 
 
+@pytest.mark.parametrize("seed", [-3, (4, -1)])
+def test_sampling_rejects_negative_seeds(seed):
+    # numpy's bare ValueError used to surface here
+    bound = BoundCircuit(1, [Gate("H", (0,))])
+    for nm in (QUIET, NoiseModel()):
+        with pytest.raises(InvalidConfig):
+            sample(bound, nm, 4, seed)
+
+
 def _noisy_test_circuit():
     h = to_hamiltonian(parse_poly("1 - p1 - q1 + 2*p1*q1"))
     return compile_qaoa(h, 1).bind([0.9], [0.6])
 
 
-def _wide_circuit(n):
-    """H layer, CNOT-RZ-CNOT gadgets in both orientations, RX layer."""
+def _wide_circuit(n, shift=0.0):
+    """H layer, CNOT-RZ-CNOT gadgets in both orientations, RX layer; `shift`
+    moves every RZ angle up and every RX angle down."""
     gates = [Gate("H", (k,)) for k in range(n)]
     for k in range(n - 1):
         c, t = (k, k + 1) if k % 2 else (k + 1, k)
-        gates += [Gate("CNOT", (c, t)), Gate("RZ", (t,), angle=0.3 + 0.2 * k),
+        gates += [Gate("CNOT", (c, t)), Gate("RZ", (t,), angle=0.3 + 0.2 * k + shift),
                   Gate("CNOT", (c, t))]
-    gates += [Gate("RX", (k,), angle=0.7 - 0.1 * k) for k in range(n)]
+    gates += [Gate("RX", (k,), angle=0.7 - 0.1 * k - shift) for k in range(n)]
     return BoundCircuit(n, gates)
 
 
@@ -286,12 +306,34 @@ def test_noisy_sample_draws_from_density_diagonal():
     # one engine for every shot count: the shots are `_draw` on diag(rho)
     bound = _wide_circuit(8)
     nm = NoiseModel().with_scale(0.5)
-    diag = np.maximum(sim._evolve_density(bound, nm)[::(1 << 8) + 1].real, 0.0)
+    # rho[x, x] is the coordinate sum_q x_q 4^q: x's binary digits read in base 4
+    diag_at = [int(format(x, "b"), 4) for x in range(1 << 8)]
+    diag = np.maximum(sim._evolve_density(bound, nm)[diag_at], 0.0)
     for m in (1, 7, 511, 512):
         values, counts = np.unique(sim._draw(diag, m, (4,)), return_counts=True)
         got = sample(bound, nm, m, 4)
         assert got.index.tolist() == values.tolist()
         assert got.count.tolist() == counts.tolist()
+
+
+# sha256 of the little-endian int64 `index` then `count` of 512 noisy shots,
+# recorded before the engine moved to real Hermitian coordinates
+_PINNED_9Q_SAMPLES = [
+    (0.0, 0, "06df0215c312552b6f8195c44d7cc1b5887a47d5ceba6c145d29e7e136e8e2e5"),
+    (0.55, 17, "3ccd166d4d0cb16b5db2610c2c46a5cf496c979e2d50a58404bce7eb0d09d1c2"),
+    (-1.2, (3, 8), "1501d183982f9c3239986b119d3b89bb6b228a935e12eea55a66216704cbcb56"),
+]
+
+
+@pytest.mark.parametrize("shift, seed, digest", _PINNED_9Q_SAMPLES,
+                         ids=["shift0", "shift0.55", "shift-1.2"])
+def test_noisy_sampled_bits_are_pinned(shift, seed, digest):
+    # an engine change that moves any sampled bit must fail here, not pass
+    # quietly; if it is meant to, bump OUTPUT_VERSION and re-record
+    s = sample(_wide_circuit(9, shift), NoiseModel(), 512, seed)
+    got = hashlib.sha256(s.index.astype("<i8").tobytes()
+                         + s.count.astype("<i8").tobytes()).hexdigest()
+    assert got == digest
 
 
 def test_noisy_sample_rejects_wide_circuit():
@@ -311,10 +353,25 @@ def test_scale_zero_equals_noiseless_path():
 
 # -- channel oracles --------------------------------------------------------------------
 
+# The Hermitian operator basis of one qubit: E00, E11, E01 + E10, i(E01 - E10).
+_HERMITIAN_BASIS = np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]],
+                             [[0, 1], [1, 0]], [[0, 1j], [-1j, 0]]])
+
+
 def _density_matrix(circuit, nm):
-    """The engine's flat vector, index ket + (bra << n), as rho[ket, bra]."""
-    dim = 1 << circuit.n_qubits
-    return sim._evolve_density(circuit, nm).reshape(dim, dim).T
+    """rho[ket, bra] from the engine's real coordinates: coordinate
+    sum_q c_q 4^q weighs the product over qubits q of _HERMITIAN_BASIS[c_q]
+    acting on qubit q (bit q of ket and bra)."""
+    coords = sim._evolve_density(circuit, nm)
+    n = circuit.n_qubits
+    assert coords.dtype == np.float64 and coords.shape == (4 ** n,)
+    rho = np.zeros((1 << n, 1 << n), dtype=complex)
+    for c in np.flatnonzero(coords):
+        term = np.ones((1, 1))
+        for q in range(n):
+            term = np.kron(_HERMITIAN_BASIS[(c >> (2 * q)) & 3], term)
+        rho += coords[c] * term
+    return rho
 
 
 def _exact_probabilities(circuit, nm):
@@ -437,6 +494,25 @@ def test_density_engine_matches_kraus_reference(circuit, arm):
     want = _density_reference(circuit, _ARMS[arm])
     assert np.abs(got - want).max() < 1e-12  # every entry, diagonal included
     assert np.trace(got) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("arm", sorted(_ARMS))
+def test_blocks_in_hermitian_coordinates_are_real(arm):
+    # the engine keeps only the real part of each block, so it must have
+    # no imaginary part to lose; the runs sit on nonadjacent qubits
+    rng = np.random.default_rng(5)
+    for _ in range(8):
+        a, b, c = rng.uniform(-math.pi, math.pi, size=3)
+        runs = [((3,), [Gate("H", (3,)), Gate("RX", (3,), angle=a),
+                        Gate("RZ", (3,), angle=b)]),
+                ((1, 4), [Gate("H", (4,)), Gate("CNOT", (1, 4)),
+                          Gate("RZ", (4,), angle=a), Gate("CNOT", (4, 1)),
+                          Gate("RX", (1,), angle=b), Gate("RZ", (1,), angle=c)])]
+        for qubits, gates in runs:
+            k = len(qubits)
+            block = (sim._TO_COORDS[k] @ sim._superoperator(gates, qubits, _ARMS[arm])
+                     @ sim._TO_ENTRIES[k])
+            assert np.abs(block.imag).max() <= 1e-15
 
 
 # -- estimators ----------------------------------------------------------------------
