@@ -3,13 +3,15 @@
 After every gate the same channels act on its qubits: depolarizing noise,
 then amplitude damping and pure dephasing on each participating qubit.
 With any of them active, `sample` evolves the density matrix rho exactly
-and draws every shot from diag(rho).  rho is held as its 4^n real
-coordinates in the Hermitian operator basis E00, E11, E01 + E10,
-i(E01 - E10) of each qubit.  Each run of consecutive gates on at most two
-qubits is folded, channels included, into one real superoperator of at
-most 16 x 16, and each such block costs one pass over the 4^n
-coordinates.  Noisy simulation stops at 11 qubits (`_MAX_NOISY_QUBITS`).
-Without noise, one statevector pass serves up to 24 qubits.
+and draws every shot from diag(rho).  rho is held as real coordinates in
+the Hermitian operator basis E00, E11, E01 + E10, i(E01 - E10) of each
+qubit.  Each run of consecutive gates on at most two qubits is folded,
+channels included, into one real superoperator of at most 16 x 16, and
+each such block costs one pass over the coordinates held.  Those are
+only what can reach diag(rho): a qubit joins at its first gate, still
+E00, and after its last gate keeps only E00 and E11.  Noisy simulation
+stops at 11 qubits (`_MAX_NOISY_QUBITS`).  Without noise, one
+statevector pass serves up to 24 qubits.
 
 Shot j draws its uniform from a counter-keyed substream, so the result is
 a deterministic function of (circuit, noise model, shot count, seed).
@@ -39,8 +41,8 @@ SHOT_BLOCK = 256
 
 _MAX_QUBITS = 24
 
-# Noisy runs hold two density-matrix buffers of 4^n float64 coordinates,
-# 64 MB in all at 11 qubits.
+# Noisy runs reserve two buffers of 4^n float64 coordinates, 64 MB in all
+# at 11 qubits, and touch only as much as the largest tensor held.
 _MAX_NOISY_QUBITS = 11
 
 # Most multiply-adds per BLAS call when a block is applied.  OpenBLAS
@@ -428,62 +430,154 @@ def _fuse(gates: Sequence[Gate]) -> List[Tuple[Tuple[int, ...], List[Gate]]]:
     return [(tuple(sorted(qs)), run) for qs, run in runs]
 
 
+def _schedule(gates: Sequence[Gate]) -> List[Gate]:
+    """The gates in an order with the same channel, for `_fuse`.
+
+    Each qubit's one-qubit gates before its first CNOT move to just
+    before that CNOT, and those after its last CNOT to just after it; a
+    qubit with no CNOT gets all its gates at its last one.  Each gate's
+    noise acts on its own qubits alone and an idle qubit gets none, so
+    gates on disjoint qubits commute, channels included.
+    """
+    first: Dict[int, int] = {}
+    last: Dict[int, int] = {}
+    final: Dict[int, int] = {}
+    for i, g in enumerate(gates):
+        for q in g.qubits:
+            final[q] = i
+            if g.kind == "CNOT":
+                first.setdefault(q, i)
+                last[q] = i
+
+    def slot(i: int) -> Tuple[int, int, int]:
+        q = gates[i].qubits[0]
+        if gates[i].kind == "CNOT":
+            return (i, 1, i)
+        if q not in first:
+            return (final[q], 1, i)
+        if i < first[q]:
+            return (first[q], 0, i)
+        if i > last[q]:
+            return (last[q], 2, i)
+        return (i, 1, i)
+
+    return [gates[i] for i in sorted(range(len(gates)), key=slot)]
+
+
+class _BasisChange(dict):
+    """k -> the basis change on k qubits, built on its first lookup."""
+
+    def __init__(self, one: List[List[complex]], swap_rows: bool):
+        super().__init__()
+        self.one, self.swap_rows = one, swap_rows
+
+    def __missing__(self, k: int) -> np.ndarray:
+        if k == 1:
+            value = np.array(self.one)
+        else:
+            swap = np.arange(16).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).ravel()
+            two = np.kron(self[1], self[1])
+            value = two[swap] if self.swap_rows else two[:, swap]
+        self[k] = value
+        return value
+
+
 # A Hermitian one-qubit rho is r0 E00 + r1 E11 + r2 (E01 + E10) +
 # r3 i(E01 - E10) with real r.  `_superoperator` indexes its entries
 # rho[ket, bra] at ket + 2 bra; _TO_ENTRIES maps r to them and _TO_COORDS
 # back.  On two qubits it indexes ket0 + 2 ket1 + 4 bra0 + 8 bra1, while
 # the coordinates go qubit by qubit (c0 + 4 c1), so index bits 1 and 2
 # swap.  A block in coordinates is _TO_COORDS[k] @ S @ _TO_ENTRIES[k],
-# real for every Hermiticity-preserving S.
-_ENTRIES_1 = np.array([[1, 0, 0, 0], [0, 0, 1, -1j], [0, 0, 1, 1j], [0, 1, 0, 0]])
-_COORDS_1 = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0.5, 0.5, 0],
-                      [0, 0.5j, -0.5j, 0]])
-_SWAP_12 = np.arange(16).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).ravel()
-_TO_ENTRIES = {1: _ENTRIES_1, 2: np.kron(_ENTRIES_1, _ENTRIES_1)[_SWAP_12]}
-_TO_COORDS = {1: _COORDS_1, 2: np.kron(_COORDS_1, _COORDS_1)[:, _SWAP_12]}
+# real for every Hermiticity-preserving S.  They are built on the first
+# noisy evolve: complex numpy constants built at import raise the peak
+# RSS of every process, simulating or not.
+_TO_ENTRIES = _BasisChange([[1, 0, 0, 0], [0, 0, 1, -1j], [0, 0, 1, 1j],
+                            [0, 1, 0, 0]], swap_rows=True)
+_TO_COORDS = _BasisChange([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0.5, 0.5, 0],
+                           [0, 0.5j, -0.5j, 0]], swap_rows=False)
 
 
-def _evolve_density(circuit: BoundCircuit, nm: NoiseModel) -> np.ndarray:
-    """Exact output density matrix as its 4^n real coordinates.
+def _evolve_density(circuit: BoundCircuit, nm: NoiseModel,
+                    keep: Sequence[int] = ()) -> np.ndarray:
+    """Exact output density matrix as the real coordinates that reach
+    diag(rho), plus every coordinate of the qubits in `keep`.
 
     Coordinate sum_q c_q 4^q weighs the tensor product over qubits q of
-    basis operator c_q: 0 is E00, 1 E11, 2 E01 + E10, 3 i(E01 - E10).  So
-    index bits 2q and 2q+1 carry qubit q, and rho[x, x] is the coordinate
-    with bit 2q equal to bit q of x and every odd bit zero.  Each run of
-    gates from `_fuse` acts as one `_superoperator` block (Wood, Biamonte
-    & Cory 2015), changed to this basis.  rho lives in one of two buffers
-    as a tensor of 2n binary axes, kept in whatever axis order the last
-    block left.  A block gathers its own axes to the front with one
-    transposing copy into the other buffer, skipped when they are already
-    there, then one matmul writes it back, as a stack of small products
-    (`_GEMM_MACS`).
+    basis operator c_q: 0 is E00, 1 E11, 2 E01 + E10, 3 i(E01 - E10), so
+    index bits 2q and 2q+1 carry qubit q.  Each run of gates from `_fuse`
+    on the `_schedule` order acts as one `_superoperator` block (Wood,
+    Biamonte & Cory 2015), changed to this basis.
+
+    A qubit is held only from its first block to its last.  Before its
+    first block it is still E00, so that block takes only its columns at
+    coordinate 0 of the qubit and adds the qubit's two bits.  After its
+    last block only coordinates 0 and 1 reach the diagonal, so that block
+    keeps only its rows with the qubit's high bit clear, and bit 2q+1 is
+    gone; qubits in `keep` are never closed.  The result is indexed by
+    the bits left, in descending order: all 4^n coordinates when `keep`
+    is every qubit, and diag(rho) in basis-index order when it is empty.
+
+    The live tensor has one binary axis per bit held, in whatever order
+    the last block left, at the start of one of two buffers.  A block
+    gathers its axes to the front with one transposing copy into the
+    other buffer, skipped when they are already there, then one matmul
+    writes it back, as a stack of small products (`_GEMM_MACS`).
     """
     n = circuit.n_qubits
-    src = np.zeros(1 << (2 * n))
-    src[0] = 1.0
+    keep = set(keep)
+    runs = _fuse(_schedule(circuit.gates))
+    closes = {q: i for i, (qubits, _) in enumerate(runs) for q in qubits
+              if q not in keep}
+    # room for 4^n coordinates; pages past the largest tensor stay untouched
+    src = np.empty(1 << (2 * n))
     dst = np.empty_like(src)
-    shape = (2,) * (2 * n)
-    canonical = list(range(2 * n - 1, -1, -1))  # the index bit of each axis
-    order = canonical
-    for qubits, gates in _fuse(circuit.gates):
+    src[0] = 1.0
+    size = 1
+    order: List[int] = []  # the index bit of each axis
+    for i, (qubits, gates) in enumerate(runs):
         k = len(qubits)
-        sup = np.ascontiguousarray(
-            (_TO_COORDS[k] @ _superoperator(gates, qubits, nm) @ _TO_ENTRIES[k]).real)
-        front = [b for q in reversed(qubits) for b in (2 * q + 1, 2 * q)]
-        new = front + [b for b in order if b not in front]
-        if new != order:
-            np.copyto(dst.reshape(shape), src.reshape(shape).transpose(
-                [order.index(b) for b in new]))
+        sup = (_TO_COORDS[k] @ _superoperator(gates, qubits, nm) @ _TO_ENTRIES[k]).real
+        # local qubit j holds bits 2j and 2j+1 of a block index: drop the
+        # columns where an opening qubit is off E00 and the rows where a
+        # closing one is off E00 and E11
+        fresh = done = 0
+        for j, q in enumerate(qubits):
+            if 2 * q not in order:
+                fresh |= 3 << 2 * j
+            if closes.get(q) == i:
+                done |= 2 << 2 * j
+        if fresh or done:
+            local = range(1 << 2 * k)
+            sup = sup[np.ix_([x for x in local if not x & done],
+                             [x for x in local if not x & fresh])]
+        else:
+            sup = np.ascontiguousarray(sup)
+        front = [b for q in reversed(qubits) if 2 * q in order
+                 for b in (2 * q + 1, 2 * q)]
+        if order[:len(front)] != front:
+            new = front + [b for b in order if b not in front]
+            np.copyto(dst[:size].reshape((2,) * len(new)),
+                      src[:size].reshape((2,) * len(order)).transpose(
+                          [order.index(b) for b in new]))
             src, dst, order = dst, src, new
-        rows = sup.shape[0]
-        cols = min(src.size // rows, _GEMM_MACS // (rows * rows))
-        slabs = (rows, src.size // (rows * cols), cols)
-        np.matmul(sup, src.reshape(slabs).transpose(1, 0, 2),
-                  out=dst.reshape(slabs).transpose(1, 0, 2))
-        src, dst = dst, src
-    np.copyto(dst.reshape(shape), src.reshape(shape).transpose(
-        [order.index(b) for b in canonical]))
-    return dst
+        rows, cols = sup.shape
+        rest = size // cols
+        width = min(rest, _GEMM_MACS // (rows * cols))
+        np.matmul(sup, src[:size].reshape(cols, rest // width, width).transpose(1, 0, 2),
+                  out=dst[:rows * rest].reshape(rows, rest // width, width)
+                  .transpose(1, 0, 2))
+        order = [b for q in reversed(qubits) for b in (2 * q + 1, 2 * q)
+                 if b == 2 * q or closes.get(q) != i] + order[len(front):]
+        src, dst, size = dst, src, rows * rest
+    bits = [b for q in reversed(range(n)) for b in (2 * q + 1, 2 * q)
+            if b == 2 * q or q in keep]
+    out = np.zeros(1 << len(bits))
+    # a qubit that no gate touched is still at coordinate 0
+    held = out.reshape((2,) * len(bits))[
+        tuple(slice(None) if b in order else 0 for b in bits) + (...,)]
+    np.copyto(held, src[:size].reshape((2,) * len(order)).transpose(
+        [order.index(b) for b in bits if b in order]))
+    return out
 
 
 def sample(circuit: BoundCircuit, nm: NoiseModel, m: int, seed: Seed) -> SampleSet:
@@ -499,10 +593,8 @@ def sample(circuit: BoundCircuit, nm: NoiseModel, m: int, seed: Seed) -> SampleS
         raise InvalidConfig(f"shot count must be >= 1, got {m}")
     n = circuit.n_qubits
     if any(_noise_active(nm)):
-        coords = _evolve_density(circuit, nm).reshape((4,) * n)
-        # diag(rho): coordinates 0 (E00) and 1 (E11) of every qubit, in
-        # basis-index order; clip rounding below zero
-        probs = np.maximum(coords[(slice(2),) * n].ravel(), 0.0)
+        # diag(rho) in basis-index order; clip rounding below zero
+        probs = np.maximum(_evolve_density(circuit, nm), 0.0)
     else:
         state = simulate_statevector(circuit)
         probs = state.real ** 2 + state.imag ** 2

@@ -1,9 +1,13 @@
 """Resilience scoring: the gain metric, sweeps, reports, selection."""
 
+import hashlib
+from pathlib import Path
+
 import pytest
 
 from vqf.circuit import CircuitStats, compile_qaoa, stats
-from vqf.encoder import FactoringInstance, decode_factors, make_random_clause_system
+from vqf.encoder import (FactoringInstance, decode_factors, load_clause_file,
+                         make_random_clause_system)
 from vqf.errors import (DegenerateBaseline, InvalidConfig, NoFeasibleCandidate,
                         TooManyQubits)
 from vqf.evaluate import (
@@ -230,6 +234,19 @@ def test_sweep_deterministic_bytes(system_143):
     a = sweep(system_143, [DIRECT], [1], [0.0, 0.6], _tiny_cfg(seeds=(0, 1)))
     b = sweep(system_143, [DIRECT], [1], [0.0, 0.6], _tiny_cfg(seeds=(0, 1)))
     assert reports_to_json(a) == reports_to_json(b)
+
+
+def test_noisy_train_sweep_report_is_pinned():
+    # the benchmark's noisy-train round at seed 0 (9-qubit GROBNER trained
+    # under full noise); the digest was recorded before the density engine
+    # moved to the measurement-aware schedule
+    clauses = Path(__file__).resolve().parents[1] / "bench" / "data" / "clauses-291311.txt"
+    cfg = SweepConfig(seeds=(0,), train_shots=512, report_shots=2048,
+                      population_size=8, max_generations=4)
+    reports = sweep(load_clause_file(clauses), [GROBNER], [1], [1.0], cfg,
+                    label="clauses-291311")
+    digest = hashlib.sha256(reports_to_json(reports).encode()).hexdigest()
+    assert digest == "46246d82bf2dfa74dc8cb6b0215e27891fada28fa1f47977e729aea3c037787b"
 
 
 def test_sweep_reuse_params_mode(system_143):

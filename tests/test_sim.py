@@ -8,7 +8,11 @@ sampling is checked to draw every shot from the density diagonal.
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -308,7 +312,7 @@ def test_noisy_sample_draws_from_density_diagonal():
     nm = NoiseModel().with_scale(0.5)
     # rho[x, x] is the coordinate sum_q x_q 4^q: x's binary digits read in base 4
     diag_at = [int(format(x, "b"), 4) for x in range(1 << 8)]
-    diag = np.maximum(sim._evolve_density(bound, nm)[diag_at], 0.0)
+    diag = np.maximum(sim._evolve_density(bound, nm, keep=range(8))[diag_at], 0.0)
     for m in (1, 7, 511, 512):
         values, counts = np.unique(sim._draw(diag, m, (4,)), return_counts=True)
         got = sample(bound, nm, m, 4)
@@ -362,8 +366,8 @@ def _density_matrix(circuit, nm):
     """rho[ket, bra] from the engine's real coordinates: coordinate
     sum_q c_q 4^q weighs the product over qubits q of _HERMITIAN_BASIS[c_q]
     acting on qubit q (bit q of ket and bra)."""
-    coords = sim._evolve_density(circuit, nm)
     n = circuit.n_qubits
+    coords = sim._evolve_density(circuit, nm, keep=range(n))
     assert coords.dtype == np.float64 and coords.shape == (4 ** n,)
     rho = np.zeros((1 << n, 1 << n), dtype=complex)
     for c in np.flatnonzero(coords):
@@ -494,6 +498,82 @@ def test_density_engine_matches_kraus_reference(circuit, arm):
     want = _density_reference(circuit, _ARMS[arm])
     assert np.abs(got - want).max() < 1e-12  # every entry, diagonal included
     assert np.trace(got) == pytest.approx(1.0, abs=1e-12)
+
+
+# Ends of the measurement-aware schedule: qubit 1 of _IDLE has no gate,
+# qubit 1 of _LONE only one-qubit gates, _EMPTY no gate at all, and the
+# one-qubit gates of qubits 0 and 1 in _INTERLEAVED sit between CNOTs on
+# other qubits.
+_IDLE = BoundCircuit(3, [Gate("H", (0,)), Gate("CNOT", (0, 2)),
+                         Gate("RX", (2,), angle=0.8), Gate("RZ", (0,), angle=-0.6)])
+_LONE = BoundCircuit(3, [Gate("H", (1,)), Gate("H", (0,)), Gate("CNOT", (0, 2)),
+                         Gate("RX", (1,), angle=1.1), Gate("RZ", (2,), angle=0.4),
+                         Gate("CNOT", (2, 0)), Gate("RZ", (1,), angle=-0.9)])
+_EMPTY = BoundCircuit(2, [])
+_INTERLEAVED = BoundCircuit(4, [
+    Gate("H", (0,)), Gate("CNOT", (1, 2)), Gate("RX", (0,), angle=0.5),
+    Gate("CNOT", (2, 3)), Gate("RZ", (0,), angle=1.2), Gate("H", (3,)),
+    Gate("RZ", (2,), angle=-0.4), Gate("CNOT", (3, 1)), Gate("CNOT", (0, 1)),
+    Gate("RX", (1,), angle=-0.7), Gate("CNOT", (2, 3)), Gate("RX", (0,), angle=0.3),
+    Gate("CNOT", (3, 2)), Gate("RZ", (0,), angle=0.9), Gate("H", (1,))])
+
+
+@pytest.mark.parametrize("arm", sorted(_ARMS))
+@pytest.mark.parametrize("circuit", [_IDLE, _LONE, _EMPTY, _INTERLEAVED],
+                         ids=["idle", "lone", "empty", "interleaved"])
+def test_density_engine_schedule_edges_match_kraus_reference(circuit, arm):
+    want = _density_reference(circuit, _ARMS[arm])
+    got = _density_matrix(circuit, _ARMS[arm])
+    assert np.abs(got - want).max() < 1e-12  # every entry, diagonal included
+    assert np.trace(got) == pytest.approx(1.0, abs=1e-12)
+    # with every qubit closed after its last block only diag(rho) is left
+    diag = sim._evolve_density(circuit, _ARMS[arm])
+    assert diag.shape == (1 << circuit.n_qubits,)
+    assert np.abs(diag - np.real(np.diag(want))).max() < 1e-12
+
+
+def test_diagonal_only_evolve_equals_full_diagonal():
+    bound = _wide_circuit(9)
+    full = sim._evolve_density(bound, NoiseModel(), keep=range(9))
+    diag_at = [int(format(x, "b"), 4) for x in range(1 << 9)]
+    diag = sim._evolve_density(bound, NoiseModel())
+    assert np.abs(diag - full[diag_at]).max() <= 1e-15
+
+
+_DIGEST_CHILD = """
+import hashlib, sys
+from vqf.circuit import BoundCircuit
+from vqf.sim import NoiseModel, sample
+s = sample(BoundCircuit.from_json(sys.stdin.read()), NoiseModel(), 512, int(sys.argv[1]))
+print(hashlib.sha256(s.index.astype("<i8").tobytes()
+                     + s.count.astype("<i8").tobytes()).hexdigest())
+"""
+
+
+def _run_python(code, *args, stdin=None, **env):
+    """stdout of a fresh interpreter running `code`, with this vqf importable."""
+    src = str(Path(sim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args], input=stdin,
+                          env=dict(os.environ, PYTHONPATH=path, **env),
+                          capture_output=True, text=True, check=True).stdout
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_noisy_sampled_bits_do_not_depend_on_blas_threads(threads):
+    # `_GEMM_MACS` keeps every product on one core, so the OpenBLAS
+    # thread count, read once at process start, must not move a bit
+    shift, seed, digest = _PINNED_9Q_SAMPLES[0]
+    out = _run_python(_DIGEST_CHILD, str(seed), stdin=_wide_circuit(9, shift).to_json(),
+                      OPENBLAS_NUM_THREADS=threads)
+    assert out.strip() == digest
+
+
+def test_basis_change_is_built_on_first_noisy_evolve():
+    # complex numpy constants built at import raised the peak RSS of every
+    # process, including those that never simulate noise
+    _run_python("import vqf.cli, vqf.sim as s\n"
+                "assert not s._TO_ENTRIES and not s._TO_COORDS")
 
 
 @pytest.mark.parametrize("arm", sorted(_ARMS))
