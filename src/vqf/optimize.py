@@ -7,6 +7,12 @@ stochastic by construction.  Instead of drawing fresh shots on every call
 we pin one sampling seed per (generation, member) slot; the whole run is
 then deterministic and regression-testable, at the price of a small
 frozen shot-noise bias.
+
+DE draws every decision of a generation before it scores any candidate,
+so a generation is scored as one trial matrix.  Without noise its
+candidates evolve together in one batched statevector pass, and each
+still draws its shots from its own slot's seed, so the result is bit for
+bit that of binding and sampling them one at a time.
 """
 
 from __future__ import annotations
@@ -22,7 +28,8 @@ import numpy as np
 
 from .circuit import compile_qaoa
 from .errors import InvalidConfig, ParseError
-from .sim import NoiseModel, _seed_tuple, estimate_expectation, sample
+from .sim import (NoiseModel, _noise_active, _sample_noiseless, _seed_tuple,
+                  check_width, estimate_expectation, sample)
 from .transform import Hamiltonian
 
 Seed = Union[int, Sequence[int]]
@@ -135,30 +142,22 @@ def _accepts_key(objective: Callable) -> bool:
     return any(p.kind == inspect.Parameter.VAR_KEYWORD for p in params.values())
 
 
-def minimize(objective: Callable[..., float], cfg: DeConfig) -> OptResult:
+def _de(score: Callable[[np.ndarray, int], np.ndarray], cfg: DeConfig) -> OptResult:
     """DE/rand/1/bin over the box given by cfg.bounds.
 
-    If the objective accepts a `key` keyword it receives `(generation,
-    member)` for each candidate, letting stochastic objectives pin their
-    own randomness.  Selection is greedy (accept on <=) and applied
-    synchronously at generation boundaries, so within one generation
-    every trial competes against the previous population.
+    `score(X, gen)` returns the objective of each row of X as a (k,)
+    float array: the initial population is generation 0, and each later
+    generation scores its whole trial matrix at once.  Selection is
+    greedy (accept on <=) and applied synchronously at generation
+    boundaries, so within one generation every trial competes against
+    the previous population.
     """
-    if not callable(objective):
-        raise InvalidConfig("objective must be callable")
-    keyed = _accepts_key(objective)
-
-    def call(x, gen, member):
-        if keyed:
-            return float(objective(x, key=(gen, member)))
-        return float(objective(x))
-
     rng = np.random.default_rng(list(cfg.seed))
     np_, dim = cfg.population_size, cfg.dim
     lo, hi = cfg.bounds
 
     pop = rng.uniform(lo, hi, size=(np_, dim))
-    objs = np.array([call(pop[i], 0, i) for i in range(np_)])
+    objs = score(pop, 0)
     evals = np_
     history = [float(objs.min())]
 
@@ -182,19 +181,35 @@ def minimize(objective: Callable[..., float], cfg: DeConfig) -> OptResult:
         np.clip(mutant, lo, hi, out=mutant)
         trials = np.where(cross, mutant, pop)
 
-        new_pop = pop.copy()
-        new_objs = objs.copy()
-        for i in range(np_):
-            t_obj = call(trials[i], gen, i)
-            evals += 1
-            if t_obj <= objs[i]:
-                new_pop[i] = trials[i]
-                new_objs[i] = t_obj
-        pop, objs = new_pop, new_objs
+        t_objs = score(trials, gen)
+        evals += np_
+        accept = t_objs <= objs
+        pop = np.where(accept[:, None], trials, pop)
+        objs = np.where(accept, t_objs, objs)
         history.append(float(objs.min()))
 
     best = int(np.argmin(objs))
     return OptResult(pop[best], float(objs[best]), gens_used, evals, history)
+
+
+def minimize(objective: Callable[..., float], cfg: DeConfig) -> OptResult:
+    """DE/rand/1/bin (`_de`) with a scalar objective, called once per
+    candidate in member order.
+
+    If the objective accepts a `key` keyword it receives `(generation,
+    member)` for each candidate, letting stochastic objectives pin their
+    own randomness.
+    """
+    if not callable(objective):
+        raise InvalidConfig("objective must be callable")
+    keyed = _accepts_key(objective)
+
+    def score(X, gen):
+        if keyed:
+            return np.array([float(objective(x, key=(gen, i))) for i, x in enumerate(X)])
+        return np.array([float(objective(x)) for x in X])
+
+    return _de(score, cfg)
 
 
 def train_qaoa(h: Hamiltonian, p: int, nm: NoiseModel, m: int = 2048,
@@ -204,10 +219,15 @@ def train_qaoa(h: Hamiltonian, p: int, nm: NoiseModel, m: int = 2048,
     The candidate vector is (gamma_1..gamma_p, beta_1..beta_p).  Each
     candidate is scored by sampling m shots under nm with the seed
     (cfg.seed, generation, member) and averaging h's diagonal over the
-    sampled basis indices.  Training runs under the same noise
-    configuration used for any later evaluation; there is no separate
-    calibration pass.
+    sampled basis indices.  Without active noise a generation's
+    candidates evolve together, unbound, in one batched statevector
+    pass; under noise each is bound and sampled on its own.  Training
+    runs under the same noise configuration used for any later
+    evaluation; there is no separate calibration pass.
     """
+    check_width(h.n_qubits, nm)
+    if m < 1:
+        raise InvalidConfig(f"shot count must be >= 1, got {m}")
     if cfg is None:
         cfg = DeConfig(dim=2 * p)
     elif cfg.dim != 2 * p:
@@ -217,11 +237,15 @@ def train_qaoa(h: Hamiltonian, p: int, nm: NoiseModel, m: int = 2048,
     circuit = compile_qaoa(h, p)
     energies = h.diagonal()
     base = cfg.seed
+    noisy = any(_noise_active(nm))
 
-    def objective(x, key):
-        gen, member = key
-        bound = circuit.bind(x[:p], x[p:])
-        shots = sample(bound, nm, m, seed=(*base, gen, member))
-        return estimate_expectation(shots, energies)
+    def score(X, gen):
+        seeds = [(*base, gen, i) for i in range(len(X))]
+        if noisy:
+            shots = (sample(circuit.bind(x[:p], x[p:]), nm, m, seed)
+                     for x, seed in zip(X, seeds))
+        else:
+            shots = _sample_noiseless(circuit, X, m, seeds)
+        return np.array([estimate_expectation(s, energies) for s in shots])
 
-    return minimize(objective, cfg)
+    return _de(score, cfg)

@@ -11,7 +11,8 @@ each such block costs one pass over the coordinates held.  Those are
 only what can reach diag(rho): a qubit joins at its first gate, still
 E00, and after its last gate keeps only E00 and E11.  Noisy simulation
 stops at 11 qubits (`_MAX_NOISY_QUBITS`).  Without noise, one
-statevector pass serves up to 24 qubits.
+statevector pass serves up to 24 qubits; training evolves a generation
+of noiseless candidates together, one row of a (rows, 2^n) array each.
 
 Shot j draws its uniform from a counter-keyed substream, so the result is
 a deterministic function of (circuit, noise model, shot count, seed).
@@ -29,11 +30,11 @@ import json
 import re
 from dataclasses import dataclass
 from math import exp, sqrt
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from .circuit import BoundCircuit, Gate
+from .circuit import BoundCircuit, Gate, ParamCircuit
 from .errors import InvalidConfig, ParseError, TooManyQubits
 
 # Shots per random-stream block; compatibility constant, do not change.
@@ -49,6 +50,11 @@ _MAX_NOISY_QUBITS = 11
 # hands larger products to extra threads, which then spin for about
 # 0.1 s of CPU after every call and save little wall time at these sizes.
 _GEMM_MACS = 1 << 14
+
+# Most amplitudes evolved at once when noiseless candidates are simulated
+# together.  A state of 16 or more qubits evolves alone, so peak memory
+# stays that of `simulate_statevector`.
+_BATCH_AMPS = 1 << 16
 
 Seed = Union[int, Sequence[int]]
 
@@ -248,7 +254,20 @@ def _apply_cnot(states: np.ndarray, n: int, c: int, t: int) -> None:
         v[:, :, 1, :, 1, :] = a
 
 
-def _apply_unitary(states: np.ndarray, n: int, g: Gate) -> None:
+def _rotation(kind: str, angle: float) -> Tuple[complex, complex]:
+    """The two factors `_apply_unitary` applies for RZ or RX(angle): RZ
+    scales |0> by the first and |1> by the second; RX mixes them with
+    cos on the diagonal and -i sin off it."""
+    half = 0.5 * angle
+    if kind == "RZ":
+        return complex(np.cos(half), -np.sin(half)), complex(np.cos(half), np.sin(half))
+    return np.cos(half), -1j * np.sin(half)
+
+
+def _apply_unitary(states: np.ndarray, n: int, g: Gate, factors=None) -> None:
+    """Apply g to each row of `states`, shape (rows, 2^n).  For RZ and RX,
+    `factors` is each row's `_rotation` pair, shaped (rows, 1, 1); by
+    default every row takes the pair of g.angle."""
     if g.kind == "CNOT":
         _apply_cnot(states, n, g.qubits[0], g.qubits[1])
         return
@@ -263,18 +282,27 @@ def _apply_unitary(states: np.ndarray, n: int, g: Gate) -> None:
         s1 *= -1.0
         s1 += tmp
         s1 *= _SQRT_HALF
-    elif g.kind == "RZ":
-        half = 0.5 * g.angle
-        s0 *= complex(np.cos(half), -np.sin(half))
-        s1 *= complex(np.cos(half), np.sin(half))
+        return
+    f0, f1 = _rotation(g.kind, g.angle) if factors is None else factors
+    if g.kind == "RZ":
+        s0 *= f0
+        s1 *= f1
     else:  # RX
-        half = 0.5 * g.angle
-        cos, msin = np.cos(half), -1j * np.sin(half)
         tmp = s0.copy()
-        s0 *= cos
-        s0 += msin * s1
-        s1 *= cos
-        s1 += msin * tmp
+        s0 *= f0
+        s0 += f1 * s1
+        s1 *= f0
+        s1 += f1 * tmp
+
+
+def _evolve(n: int, gates: Sequence[Gate], factors: Sequence, rows: int = 1) -> np.ndarray:
+    """Final states, shape (rows, 2^n), of `gates` applied to |0...0> in
+    every row; factors[j] is gate j's `factors` for `_apply_unitary`."""
+    states = np.zeros((rows, 1 << n), dtype=np.complex128)
+    states[:, 0] = 1.0
+    for g, f in zip(gates, factors):
+        _apply_unitary(states, n, g, f)
+    return states
 
 
 def _noise_active(nm: NoiseModel) -> Tuple[bool, bool]:
@@ -313,12 +341,35 @@ def check_width(n_qubits: int, nm: Optional[NoiseModel] = None) -> None:
 def simulate_statevector(circuit: BoundCircuit) -> np.ndarray:
     """Exact noiseless final state (2^n complex amplitudes)."""
     check_width(circuit.n_qubits)
+    return _evolve(circuit.n_qubits, circuit.gates, [None] * len(circuit.gates))[0]
+
+
+def _bound_states(circuit: ParamCircuit, X: np.ndarray) -> Iterator[np.ndarray]:
+    """The final state of `circuit` bound to each row of X, in row order.
+
+    A row is (gamma_1..gamma_p, beta_1..beta_p), and each angle is
+    scale * float(row entry), as `bind` computes it, so every state is
+    bit for bit `simulate_statevector(bind(...))`.  Rows evolve together,
+    at most `_BATCH_AMPS` amplitudes at a time (one row once 2^n reaches
+    it), and each distinct (kind, param) takes one `_rotation` per row.
+    """
     n = circuit.n_qubits
-    states = np.zeros((1, 1 << n), dtype=np.complex128)
-    states[0, 0] = 1.0
-    for g in circuit.gates:
-        _apply_unitary(states, n, g)
-    return states[0]
+    first = {"gamma": 0, "beta": circuit.p}
+    step = max(1, _BATCH_AMPS >> n)
+    for start in range(0, len(X), step):
+        chunk = X[start:start + step]
+        pairs: Dict[Tuple, Tuple[np.ndarray, np.ndarray]] = {}
+        factors = []
+        for g in circuit.gates:
+            key = (g.kind, g.param)
+            if g.param is not None and key not in pairs:
+                family, level, scale = g.param
+                col = first[family] + level
+                rows = [_rotation(g.kind, scale * float(x[col])) for x in chunk]
+                pairs[key] = tuple(np.array(f, dtype=np.complex128).reshape(-1, 1, 1)
+                                   for f in zip(*rows))
+            factors.append(pairs.get(key))
+        yield from _evolve(n, circuit.gates, factors, len(chunk))
 
 
 def _block_rows(block: int, m: int) -> int:
@@ -591,15 +642,26 @@ def sample(circuit: BoundCircuit, nm: NoiseModel, m: int, seed: Seed) -> SampleS
     check_width(circuit.n_qubits, nm)
     if m < 1:
         raise InvalidConfig(f"shot count must be >= 1, got {m}")
-    n = circuit.n_qubits
     if any(_noise_active(nm)):
         # diag(rho) in basis-index order; clip rounding below zero
         probs = np.maximum(_evolve_density(circuit, nm), 0.0)
     else:
         state = simulate_statevector(circuit)
         probs = state.real ** 2 + state.imag ** 2
-    idx = _draw(probs, m, _seed_tuple(seed))
-    values, counts = np.unique(idx, return_counts=True)
+    return _shots(probs, circuit.n_qubits, m, _seed_tuple(seed))
+
+
+def _sample_noiseless(circuit: ParamCircuit, X: np.ndarray, m: int,
+                      seeds: Sequence[Tuple[int, ...]]) -> Iterator[SampleSet]:
+    """For each row x of X and its seed, what `sample` gives for `circuit`
+    bound to x (gammas first, then betas) with no noise active, bit for
+    bit, but with no `bind` call and all rows evolved together."""
+    for state, seed in zip(_bound_states(circuit, X), seeds):
+        yield _shots(state.real ** 2 + state.imag ** 2, circuit.n_qubits, m, seed)
+
+
+def _shots(probs: np.ndarray, n: int, m: int, seed_t: Tuple[int, ...]) -> SampleSet:
+    values, counts = np.unique(_draw(probs, m, seed_t), return_counts=True)
     return SampleSet._from_indices(n, values, counts, m)
 
 

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from vqf.circuit import compile_qaoa
-from vqf.errors import InvalidConfig, ParseError
+from vqf.errors import InvalidConfig, ParseError, TooManyQubits
 from vqf.optimize import DeConfig, OptResult, minimize, train_qaoa
 from vqf.pboly import parse_poly
 from vqf.sim import NoiseModel, sample
-from vqf.transform import apply_transform, to_hamiltonian, DIRECT, GROBNER
+from vqf.transform import Hamiltonian, apply_transform, to_hamiltonian, DIRECT, GROBNER
 
 
 # -- configuration ---------------------------------------------------------------
@@ -223,3 +223,42 @@ def test_train_qaoa_objective_is_the_exact_cost_average(system_143):
                     for bits, c in shots.counts.items())
         exact.append(float(Fraction(total) / 96))
     assert res.history[0] == min(exact)
+
+
+def test_train_qaoa_noiseless_objective_is_the_exact_cost_average(system_143):
+    # the noiseless twin of the test above: generation 0 is scored in one
+    # batched statevector pass, yet each member's objective must be the
+    # public `sample` of its bound circuit on seed (*cfg.seed, 0, i),
+    # averaged exactly and rounded once
+    poly, _ = apply_transform(system_143, GROBNER)
+    h = to_hamiltonian(poly)
+    nm = NoiseModel().with_scale(0.0)
+    cfg = DeConfig(dim=2, population_size=4, max_generations=1, seed=(5,))
+    res = train_qaoa(h, 1, nm, 96, cfg)
+    pop = np.random.default_rng([5]).uniform(0.0, 2 * math.pi, size=(4, 2))
+    circuit = compile_qaoa(h, 1)
+    exact = []
+    for i, x in enumerate(pop):
+        shots = sample(circuit.bind(x[:1], x[1:]), nm, 96, (5, 0, i))
+        total = sum(poly.evaluate({v: int(bits[q]) for v, q in h.var_map.items()}) * c
+                    for bits, c in shots.counts.items())
+        exact.append(float(Fraction(total) / 96))
+    assert res.history[0] == min(exact)
+
+
+@pytest.mark.parametrize("n, nm, shots, error, match", [
+    (25, NoiseModel().with_scale(0.0), 512, TooManyQubits, "24-qubit simulator cap"),
+    (12, NoiseModel(), 512, TooManyQubits, "11-qubit cap on noisy simulation"),
+    (3, NoiseModel(), 0, InvalidConfig, "shot count must be >= 1, got 0"),
+], ids=["noiseless-25-qubits", "noisy-12-qubits", "zero-shots"])
+def test_train_qaoa_rejects_before_any_work(monkeypatch, n, nm, shots, error, match):
+    # a 25-qubit diagonal alone takes seconds and over a GB, so width and
+    # shot count are checked before it is computed
+    h = to_hamiltonian(parse_poly(" + ".join(f"p{i}" for i in range(1, n + 1))))
+
+    def spy(self):
+        raise AssertionError("Hamiltonian.diagonal called")
+
+    monkeypatch.setattr(Hamiltonian, "diagonal", spy)
+    with pytest.raises(error, match=match):
+        train_qaoa(h, 1, nm, shots, DeConfig(dim=2, population_size=4, max_generations=1))

@@ -29,7 +29,8 @@ from vqf.sim import (
     simulate_statevector,
     success_probability,
 )
-from vqf.transform import to_hamiltonian
+from vqf.transform import (ALL_KINDS, DIRECT, GROBNER, SCHALLER, apply_transform,
+                           to_hamiltonian)
 
 QUIET = NoiseModel().with_scale(0.0)
 
@@ -355,6 +356,59 @@ def test_scale_zero_equals_noiseless_path():
     assert a.counts == b.counts
 
 
+# -- batched noiseless evolve --------------------------------------------------------
+
+def _candidates(p, rows, seed):
+    """Random (gammas, betas) rows plus rows clipped to 0 and 2*pi, as DE
+    clips its mutants."""
+    two_pi = 2 * math.pi
+    x = np.random.default_rng(seed).uniform(0.0, two_pi, size=(rows, 2 * p))
+    edges = np.array([[0.0] * (2 * p), [two_pi] * (2 * p),
+                      [0.0, two_pi] * p, [two_pi, 0.0] * p])
+    return np.vstack([x, edges])
+
+
+def _assert_rows_equal_bound(circuit, X):
+    p = circuit.p
+    states = list(sim._bound_states(circuit, X))
+    assert len(states) == len(X)
+    for x, state in zip(X, states):
+        assert np.array_equal(state, simulate_statevector(circuit.bind(x[:p], x[p:])))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.name)
+def test_batched_states_equal_bound_statevectors(system_143, kind, p):
+    # bit for bit, so the sampled shots and every trained angle stay put
+    circuit = compile_qaoa(to_hamiltonian(apply_transform(system_143, kind)[0]), p)
+    _assert_rows_equal_bound(circuit, _candidates(p, 6, 10 * p))
+
+
+def test_batched_states_equal_bound_statevectors_at_9_qubits(system_291311):
+    circuit = compile_qaoa(to_hamiltonian(apply_transform(system_291311, GROBNER)[0]), 1)
+    assert circuit.n_qubits == 9
+    _assert_rows_equal_bound(circuit, _candidates(1, 8, 3))
+
+
+@pytest.mark.parametrize("rows_per_chunk", [3, 0])
+def test_batched_states_cross_chunk_boundaries(system_143, monkeypatch, rows_per_chunk):
+    # 10 rows in chunks of 3, 3, 3, 1; at a budget below one state, one
+    # row at a time, as wide registers run
+    circuit = compile_qaoa(to_hamiltonian(apply_transform(system_143, DIRECT)[0]), 2)
+    monkeypatch.setattr(sim, "_BATCH_AMPS", rows_per_chunk << circuit.n_qubits)
+    _assert_rows_equal_bound(circuit, _candidates(2, 6, 8))
+
+
+def test_batched_noiseless_samples_equal_sample(system_143):
+    circuit = compile_qaoa(to_hamiltonian(apply_transform(system_143, SCHALLER)[0]), 1)
+    X = _candidates(1, 5, 2)
+    seeds = [(7, 3, i) for i in range(len(X))]
+    for x, seed, got in zip(X, seeds, sim._sample_noiseless(circuit, X, 300, seeds)):
+        want = sample(circuit.bind(x[:1], x[1:]), QUIET, 300, seed)
+        assert got.index.tolist() == want.index.tolist()
+        assert got.count.tolist() == want.count.tolist()
+
+
 # -- channel oracles --------------------------------------------------------------------
 
 # The Hermitian operator basis of one qubit: E00, E11, E01 + E10, i(E01 - E10).
@@ -538,6 +592,28 @@ def test_diagonal_only_evolve_equals_full_diagonal():
     diag_at = [int(format(x, "b"), 4) for x in range(1 << 9)]
     diag = sim._evolve_density(bound, NoiseModel())
     assert np.abs(diag - full[diag_at]).max() <= 1e-15
+
+
+def test_block_products_stay_small(monkeypatch):
+    # OpenBLAS hands a product of more than about 2^14 multiply-adds to
+    # extra threads, which then spin for CPU time after every call; the
+    # engine stacks small products instead (`_GEMM_MACS`)
+    shapes = []
+    matmul = np.matmul
+
+    def spy(a, b, *args, **kwargs):
+        shapes.append((a.shape, b.shape))
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    # every coordinate kept, so the tensor grows to all 4^9
+    sim._evolve_density(_wide_circuit(9), NoiseModel(), keep=range(9))
+    assert shapes
+    for (rows, cols), (stack, cols_b, width) in shapes:
+        assert cols == cols_b
+        assert rows * cols * width <= 1 << 14
+    # the cap is what splits the products here: some are stacked
+    assert max(stack for _, (stack, _, _) in shapes) > 1
 
 
 _DIGEST_CHILD = """
