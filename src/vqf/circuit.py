@@ -239,6 +239,7 @@ def stats(circuit) -> CircuitStats:
 
 
 _QASM_HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
+_QASM_KINDS = {"h": "H", "rx": "RX", "rz": "RZ", "cx": "CNOT"}
 _QASM_LINE = re.compile(
     r"^(h|rx|rz|cx)\s*(?:\(([^)]+)\))?\s+q\[(\d+)\](?:\s*,\s*q\[(\d+)\])?;$")
 
@@ -274,23 +275,18 @@ def parse_qasm(text: str) -> BoundCircuit:
         m = _QASM_LINE.match(line)
         if m is None:
             raise ParseError(f"line {lineno}: cannot parse {line!r}")
-        op, angle, qa, qb = m.groups()
+        op, angle, *operands = m.groups()
         if n_qubits is None:
             raise ParseError(f"line {lineno}: gate before qreg declaration")
-        if op == "h":
-            gates.append(Gate("H", (int(qa),)))
-        elif op == "cx":
-            if qb is None:
-                raise ParseError(f"line {lineno}: cx needs two qubits")
-            gates.append(Gate("CNOT", (int(qa), int(qb))))
-        else:
-            if angle is None:
-                raise ParseError(f"line {lineno}: {op} needs an angle")
-            try:
-                value = float(angle)
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: bad angle {angle!r}") from exc
-            gates.append(Gate(op.upper(), (int(qa),), angle=value))
+        qubits = tuple(int(q) for q in operands if q is not None)
+        if max(qubits) >= n_qubits:
+            raise ParseError(f"line {lineno}: qubit {max(qubits)} outside the "
+                             f"{n_qubits}-qubit register")
+        try:  # Gate checks the operand count, repeats and the angle
+            gates.append(Gate(_QASM_KINDS[op], qubits,
+                              None if angle is None else float(angle)))
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: {line!r}: {exc}") from exc
     if n_qubits is None:
         raise ParseError("no qreg declaration found")
     return BoundCircuit(n_qubits, gates)

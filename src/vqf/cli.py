@@ -165,26 +165,10 @@ def _config_from_args(args) -> RunConfig:
     doc: Dict = {}
     if getattr(args, "config", None):
         doc.update(_read_config_file(args.config))
-    overrides = {
-        "n": getattr(args, "n", None),
-        "bits": getattr(args, "bits", None),
-        "clause_file": getattr(args, "clauses", None),
-        "probe_depth": getattr(args, "probe_depth", None),
-        "transforms": getattr(args, "transforms", None),
-        "p_list": getattr(args, "p_list", None),
-        "levels": getattr(args, "levels", None),
-        "noise": getattr(args, "noise", None),
-        "train_shots": getattr(args, "train_shots", None),
-        "report_shots": getattr(args, "report_shots", None),
-        "population_size": getattr(args, "population", None),
-        "max_generations": getattr(args, "generations", None),
-        "reuse_params": True if getattr(args, "reuse_params", False) else None,
-        "seeds": getattr(args, "seeds", None),
-        "qubit_budget": getattr(args, "budget", None),
-        "out_dir": getattr(args, "out", None),
-    }
-    doc.update({k: v for k, v in overrides.items() if v is not None})
-    unknown = set(doc) - {f.name for f in dataclasses.fields(RunConfig)}
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    # each run flag's dest is the field it sets; a flag not given is None
+    doc.update({k: getattr(args, k) for k in fields if getattr(args, k, None) is not None})
+    unknown = set(doc) - fields
     if unknown:
         raise InvalidConfig(f"unknown config keys: {', '.join(sorted(unknown))}")
     return RunConfig(**doc)
@@ -411,7 +395,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config")
         p.add_argument("--n", type=int)
         p.add_argument("--bits", type=int)
-        p.add_argument("--clauses")
+        p.add_argument("--clauses", dest="clause_file")
         p.add_argument("--probe-depth", type=int, dest="probe_depth")
         p.add_argument("--transform", dest="transforms", action="append")
         p.add_argument("--p", dest="p_list", type=int, action="append")
@@ -419,12 +403,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--noise")
         p.add_argument("--train-shots", type=int, dest="train_shots")
         p.add_argument("--report-shots", type=int, dest="report_shots")
-        p.add_argument("--population", type=int)
-        p.add_argument("--generations", type=int)
+        p.add_argument("--population", type=int, dest="population_size")
+        p.add_argument("--generations", type=int, dest="max_generations")
         p.add_argument("--seed", dest="seeds", type=int, action="append")
-        p.add_argument("--budget", type=int)
-        p.add_argument("--reuse-params", action="store_true")
-        p.add_argument("--out")
+        p.add_argument("--budget", type=int, dest="qubit_budget")
+        p.add_argument("--reuse-params", action="store_const", const=True)
+        p.add_argument("--out", dest="out_dir")
 
     sw = sub.add_parser("sweep", help="NRPG across a noise grid")
     common_run_flags(sw)

@@ -5,14 +5,17 @@ then amplitude damping and pure dephasing on each participating qubit.
 With any of them active, `sample` evolves the density matrix rho exactly
 and draws every shot from diag(rho).  rho is held as real coordinates in
 the Hermitian operator basis E00, E11, E01 + E10, i(E01 - E10) of each
-qubit.  Each run of consecutive gates on at most two qubits is folded,
-channels included, into one real superoperator of at most 16 x 16, and
-each such block costs one pass over the coordinates held.  Those are
-only what can reach diag(rho): a qubit joins at its first gate, still
-E00, and after its last gate keeps only E00 and E11.  Noisy simulation
-stops at 11 qubits (`_MAX_NOISY_QUBITS`).  Without noise, one
-statevector pass serves up to 24 qubits; training evolves a generation
-of noiseless candidates together, one row of a (rows, 2^n) array each.
+qubit.  Every gate and channel is a real map of these coordinates, 4 x 4
+on one qubit and 16 x 16 on two: RZ and RX in closed form per angle, H,
+CNOT and the noise built once from their Kraus operators.  Each run of
+consecutive gates on at most two qubits composes its maps, channels
+included, into one block, and each block costs one pass over the
+coordinates held.  Those are only what can reach diag(rho): a qubit
+joins at its first gate, still E00, and after its last gate keeps only
+E00 and E11.  Noisy simulation stops at 11 qubits (`_MAX_NOISY_QUBITS`).
+Without noise, one statevector pass serves up to 24 qubits; training
+evolves a generation of noiseless candidates together, one row of a
+(rows, 2^n) array each.
 
 Shot j draws its uniform from a counter-keyed substream, so the result is
 a deterministic function of (circuit, noise model, shot count, seed).
@@ -26,10 +29,11 @@ sets that `success_probability` takes.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import re
 from dataclasses import dataclass
-from math import exp, sqrt
+from math import cos, exp, sin, sqrt
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
@@ -313,15 +317,6 @@ def _noise_active(nm: NoiseModel) -> Tuple[bool, bool]:
     return gate, deco
 
 
-def _channel_rates(nm: NoiseModel) -> Tuple[Dict[bool, float], ...]:
-    """Scaled depolarizing, damping and dephasing rates, keyed by is-CNOT."""
-    s = nm.scale
-    probs = {False: s * nm.p1, True: s * nm.p2}
-    gammas = {False: s * nm.damp_gamma(nm.dur1_ns), True: s * nm.damp_gamma(nm.dur2_ns)}
-    flips = {False: s * nm.dephase_prob(nm.dur1_ns), True: s * nm.dephase_prob(nm.dur2_ns)}
-    return probs, gammas, flips
-
-
 def check_width(n_qubits: int, nm: Optional[NoiseModel] = None) -> None:
     """Raise TooManyQubits unless `sample` can run n qubits under `nm`.
 
@@ -390,82 +385,95 @@ def _draw(probs: np.ndarray, m: int, seed_t: Tuple[int, ...]) -> np.ndarray:
                       probs.size - 1)
 
 
-def _conjugate(g: Gate, n: int) -> Gate:
-    """conj(U) of gate g, on the bra half of the doubled register."""
-    qubits = [q + n for q in g.qubits]
-    if g.angle is None:  # H and CNOT are real
-        return Gate(g.kind, qubits)
-    return Gate(g.kind, qubits, angle=-g.angle)
+def _real_map(kraus: Sequence[np.ndarray]) -> np.ndarray:
+    """The channel rho -> sum_K K rho K^dagger on one or two qubits, as a
+    real map of the coordinates that `_evolve_density` holds.
 
-
-def _block(rho_t: np.ndarray, n: int, qubits: Sequence[int],
-           ket: int, bra: int) -> np.ndarray:
-    """View of a batch of density matrices, shape (rows, 2, ..., 2), with
-    the ket bits of `qubits` fixed to `ket` and their bra bits to `bra`
-    (bit j of each selects qubits[j])."""
-    idx: List[Union[int, slice]] = [slice(None)] * (2 * n)
-    for j, q in enumerate(qubits):
-        idx[2 * n - 1 - q] = (ket >> j) & 1
-        idx[n - 1 - q] = (bra >> j) & 1
-    return rho_t[(..., *idx)]
-
-
-def _depolarize_density(rho_t: np.ndarray, n: int, qubits: Sequence[int],
-                        prob: float) -> None:
-    """rho -> (1 - lam) rho + lam (I/d (x) Tr_qubits rho), lam = prob d^2/(d^2 - 1).
-
-    Equal to (1 - prob) rho + prob/(d^2 - 1) * (sum over the nontrivial
-    Paulis P of P rho P), the Pauli form the reference in the tests uses.
+    Entry [a, b] is coordinate a of the image of basis operator b.  On two
+    qubits operator c0 + 4 c1 is B[c1] (x) B[c0], and a Kraus matrix row
+    or column is bit0 + 2 bit1.  Coordinate a of a Hermitian A is
+    Tr(B[a] A) weighed by 1/2 for each off-diagonal factor of B[a].  The
+    result is read-only, as every caller caches it.
     """
-    d = 1 << len(qubits)
-    lam = prob * d * d / (d * d - 1)
-    diag = [_block(rho_t, n, qubits, x, x) for x in range(d)]
-    mixed = sum(diag) * (lam / d)
-    rho_t *= 1.0 - lam
-    for b in diag:
-        b += mixed
+    basis = np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]],
+                      [[0, 1], [1, 0]], [[0, 1j], [-1j, 0]]])
+    weight = np.array([1.0, 1.0, 0.5, 0.5])
+    if len(kraus[0]) == 4:
+        basis = np.einsum("aij,bkl->abikjl", basis, basis).reshape(16, 4, 4)
+        weight = np.outer(weight, weight).ravel()
+    images = sum(k @ basis @ k.conj().T for k in kraus)
+    out = np.einsum("aij,bji->ab", basis, images).real * weight[:, None]
+    out.setflags(write=False)
+    return out
 
 
-def _relax_density(rho_t: np.ndarray, n: int, k: int, gamma_s: float,
-                   pz: float) -> None:
-    """Amplitude damping then dephasing on qubit k (Kraus forms)."""
-    r00 = _block(rho_t, n, (k,), 0, 0)
-    r11 = _block(rho_t, n, (k,), 1, 1)
-    r00 += gamma_s * r11
-    r11 *= 1.0 - gamma_s
-    coherence = sqrt(1.0 - gamma_s) * (1.0 - 2.0 * pz)
-    for ket, bra in ((0, 1), (1, 0)):
-        off = _block(rho_t, n, (k,), ket, bra)
-        off *= coherence
+@functools.lru_cache(maxsize=None)
+def _fixed_map(kind: str, control: int = 0) -> np.ndarray:
+    """The map of H, or of a CNOT whose control is local qubit `control`
+    of the two it acts on."""
+    if kind == "H":
+        return _real_map([np.array([[1.0, 1.0], [1.0, -1.0]]) * _SQRT_HALF])
+    return _real_map([np.eye(4)[[0, 3, 2, 1] if control == 0 else [0, 1, 3, 2]]])
 
 
-def _superoperator(gates: Sequence[Gate], qubits: Tuple[int, ...],
-                   nm: NoiseModel) -> np.ndarray:
-    """The channel of `gates`, each followed by its noise, on `qubits` alone.
+@functools.lru_cache(maxsize=64)
+def _channel_map(two: bool, prob: float, gamma: float, pz: float) -> np.ndarray:
+    """The noise after a gate on one qubit or two: depolarizing with
+    probability `prob` (Pauli form), then amplitude damping with `gamma`
+    and dephasing with Z-flip probability `pz` on each qubit.  Cached for
+    the few noise models a run uses, two maps each."""
+    paulis = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+              np.diag([1.0, -1.0])]
+    damp = [np.diag([1.0, sqrt(1.0 - gamma)]), np.array([[0.0, sqrt(gamma)], [0.0, 0.0]])]
+    relax = _real_map([sqrt(1.0 - pz) * k for k in damp]
+                      + [sqrt(pz) * paulis[3] @ k for k in damp])
+    if two:
+        paulis = [np.kron(a, b) for a in paulis for b in paulis]
+        relax = np.kron(relax, relax)
+    rest = sqrt(prob / (len(paulis) - 1))
+    out = relax @ _real_map([sqrt(1.0 - prob) * paulis[0]] + [rest * p for p in paulis[1:]])
+    out.setflags(write=False)
+    return out
 
-    A 4^k x 4^k matrix on the local index ket + (bra << k), local qubit j
-    being qubits[j].  It runs the per-gate code on all 4^k basis entries
-    at once, one per row: U on the ket and conj(U) on the bra, then
-    depolarizing noise, then damping and dephasing of each gate qubit.
-    Row j ends as the image of entry j, so the matrix is the transpose.
-    """
-    k = len(qubits)
+
+def _noise_maps(nm: NoiseModel) -> Dict[bool, np.ndarray]:
+    """The `_channel_map` after a one-qubit gate and after a CNOT under
+    `nm`, keyed by is-CNOT."""
+    s = nm.scale
+    return {two: _channel_map(two, s * p if nm.gate_noise_on else 0.0,
+                              s * nm.damp_gamma(dur) if nm.decoherence_on else 0.0,
+                              s * nm.dephase_prob(dur) if nm.decoherence_on else 0.0)
+            for two, p, dur in ((False, nm.p1, nm.dur1_ns), (True, nm.p2, nm.dur2_ns))}
+
+
+def _gate_map(g: Gate, first: int) -> np.ndarray:
+    """The map of gate g alone, its first qubit being local qubit `first`.
+    RZ turns coordinates (2, 3) by -angle, RX ((0 - 1)/2, 3) by angle."""
+    if g.kind == "H":
+        return _fixed_map("H")
+    if g.kind == "CNOT":
+        return _fixed_map("CNOT", first)
+    c, s = cos(g.angle), sin(g.angle)
+    if g.kind == "RZ":
+        return np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                         [0.0, 0.0, c, s], [0.0, 0.0, -s, c]])
+    return np.array([[(1 + c) / 2, (1 - c) / 2, 0.0, -s],
+                     [(1 - c) / 2, (1 + c) / 2, 0.0, s],
+                     [0.0, 0.0, 1.0, 0.0], [s / 2, -s / 2, 0.0, c]])
+
+
+def _block_map(gates: Sequence[Gate], qubits: Tuple[int, ...],
+               noise: Dict[bool, np.ndarray]) -> np.ndarray:
+    """The real map of `gates`, each followed by its noise, on `qubits`
+    alone; local qubit j is qubits[j], at bits 2j and 2j+1 of an index."""
     local = {q: j for j, q in enumerate(qubits)}
-    rows = np.eye(1 << (2 * k), dtype=np.complex128)
-    rho_t = rows.reshape((-1,) + (2,) * (2 * k))
-    gate_on, deco_on = _noise_active(nm)
-    probs, gammas, flips = _channel_rates(nm)
+    out = np.eye(4 ** len(qubits))
     for g in gates:
-        g = Gate(g.kind, tuple(local[q] for q in g.qubits), angle=g.angle)
-        _apply_unitary(rows, 2 * k, g)
-        _apply_unitary(rows, 2 * k, _conjugate(g, k))
-        two = g.kind == "CNOT"
-        if gate_on and probs[two] > 0:
-            _depolarize_density(rho_t, k, g.qubits, probs[two])
-        if deco_on:
-            for q in g.qubits:
-                _relax_density(rho_t, k, q, gammas[two], flips[two])
-    return rows.T
+        m = noise[g.kind == "CNOT"] @ _gate_map(g, local[g.qubits[0]])
+        if len(qubits) > len(g.qubits):
+            m = np.kron(m, np.eye(4)) if local[g.qubits[0]] else np.kron(np.eye(4), m)
+        out = m @ out
+    return out
 
 
 def _fuse(gates: Sequence[Gate]) -> List[Tuple[Tuple[int, ...], List[Gate]]]:
@@ -515,39 +523,6 @@ def _schedule(gates: Sequence[Gate]) -> List[Gate]:
     return [gates[i] for i in sorted(range(len(gates)), key=slot)]
 
 
-class _BasisChange(dict):
-    """k -> the basis change on k qubits, built on its first lookup."""
-
-    def __init__(self, one: List[List[complex]], swap_rows: bool):
-        super().__init__()
-        self.one, self.swap_rows = one, swap_rows
-
-    def __missing__(self, k: int) -> np.ndarray:
-        if k == 1:
-            value = np.array(self.one)
-        else:
-            swap = np.arange(16).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).ravel()
-            two = np.kron(self[1], self[1])
-            value = two[swap] if self.swap_rows else two[:, swap]
-        self[k] = value
-        return value
-
-
-# A Hermitian one-qubit rho is r0 E00 + r1 E11 + r2 (E01 + E10) +
-# r3 i(E01 - E10) with real r.  `_superoperator` indexes its entries
-# rho[ket, bra] at ket + 2 bra; _TO_ENTRIES maps r to them and _TO_COORDS
-# back.  On two qubits it indexes ket0 + 2 ket1 + 4 bra0 + 8 bra1, while
-# the coordinates go qubit by qubit (c0 + 4 c1), so index bits 1 and 2
-# swap.  A block in coordinates is _TO_COORDS[k] @ S @ _TO_ENTRIES[k],
-# real for every Hermiticity-preserving S.  They are built on the first
-# noisy evolve: complex numpy constants built at import raise the peak
-# RSS of every process, simulating or not.
-_TO_ENTRIES = _BasisChange([[1, 0, 0, 0], [0, 0, 1, -1j], [0, 0, 1, 1j],
-                            [0, 1, 0, 0]], swap_rows=True)
-_TO_COORDS = _BasisChange([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0.5, 0.5, 0],
-                           [0, 0.5j, -0.5j, 0]], swap_rows=False)
-
-
 def _evolve_density(circuit: BoundCircuit, nm: NoiseModel,
                     keep: Sequence[int] = ()) -> np.ndarray:
     """Exact output density matrix as the real coordinates that reach
@@ -556,8 +531,8 @@ def _evolve_density(circuit: BoundCircuit, nm: NoiseModel,
     Coordinate sum_q c_q 4^q weighs the tensor product over qubits q of
     basis operator c_q: 0 is E00, 1 E11, 2 E01 + E10, 3 i(E01 - E10), so
     index bits 2q and 2q+1 carry qubit q.  Each run of gates from `_fuse`
-    on the `_schedule` order acts as one `_superoperator` block (Wood,
-    Biamonte & Cory 2015), changed to this basis.
+    on the `_schedule` order acts as one `_block_map`, its transfer matrix
+    in this basis (Wood, Biamonte & Cory 2015).
 
     A qubit is held only from its first block to its last.  Before its
     first block it is still E00, so that block takes only its columns at
@@ -577,6 +552,7 @@ def _evolve_density(circuit: BoundCircuit, nm: NoiseModel,
     n = circuit.n_qubits
     keep = set(keep)
     runs = _fuse(_schedule(circuit.gates))
+    noise = _noise_maps(nm)
     closes = {q: i for i, (qubits, _) in enumerate(runs) for q in qubits
               if q not in keep}
     # room for 4^n coordinates; pages past the largest tensor stay untouched
@@ -587,7 +563,7 @@ def _evolve_density(circuit: BoundCircuit, nm: NoiseModel,
     order: List[int] = []  # the index bit of each axis
     for i, (qubits, gates) in enumerate(runs):
         k = len(qubits)
-        sup = (_TO_COORDS[k] @ _superoperator(gates, qubits, nm) @ _TO_ENTRIES[k]).real
+        sup = _block_map(gates, qubits, noise)
         # local qubit j holds bits 2j and 2j+1 of a block index: drop the
         # columns where an opening qubit is off E00 and the rows where a
         # closing one is off E00 and E11
@@ -601,8 +577,6 @@ def _evolve_density(circuit: BoundCircuit, nm: NoiseModel,
             local = range(1 << 2 * k)
             sup = sup[np.ix_([x for x in local if not x & done],
                              [x for x in local if not x & fresh])]
-        else:
-            sup = np.ascontiguousarray(sup)
         front = [b for q in reversed(qubits) if 2 * q in order
                  for b in (2 * q + 1, 2 * q)]
         if order[:len(front)] != front:

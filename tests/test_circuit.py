@@ -236,3 +236,20 @@ def test_qasm_parse_rejects_double_qreg():
 def test_qasm_parse_skips_comments_and_blanks():
     back = parse_qasm("// a comment\n\nqreg q[1];\nh q[0];\nrx(0.5) q[0];\n")
     assert back.gates == [Gate("H", (0,)), Gate("RX", (0,), angle=0.5)]
+
+
+@pytest.mark.parametrize("line", [
+    "h q[0],q[1];",         # a second operand on a one-qubit gate
+    "rx(0.5) q[0],q[1];",
+    "h(0.3) q[0];",         # an angle on a gate that takes none
+    "cx(0.3) q[0],q[1];",
+    "rz q[0];",             # no angle
+    "rx(half) q[0];",
+    "cx q[0];",
+    "cx q[1],q[1];",        # a repeated qubit
+    "cx q[0],q[2];",        # outside the register
+    "h q[2];",
+])
+def test_qasm_parse_rejects_malformed_gates(line):
+    with pytest.raises(ParseError, match="line 3"):
+        parse_qasm(f"OPENQASM 2.0;\nqreg q[2];\n{line}\n")

@@ -544,9 +544,23 @@ _ARMS = {
 }
 
 
+def _random_angle_circuit():
+    """One-qubit runs on qubit 3 and two-qubit runs on the nonadjacent
+    qubits 1 and 4, CNOTs both ways, at angles drawn over (-2 pi, 2 pi)."""
+    rng = np.random.default_rng(5)
+    gates = []
+    for _ in range(8):
+        a, b, c = rng.uniform(-2 * math.pi, 2 * math.pi, size=3)
+        gates += [Gate("H", (3,)), Gate("RX", (3,), angle=a), Gate("RZ", (3,), angle=b),
+                  Gate("H", (4,)), Gate("CNOT", (1, 4)), Gate("RZ", (4,), angle=a),
+                  Gate("CNOT", (4, 1)), Gate("RX", (1,), angle=b),
+                  Gate("RZ", (1,), angle=c)]
+    return BoundCircuit(5, gates)
+
+
 @pytest.mark.parametrize("arm", sorted(_ARMS))
-@pytest.mark.parametrize("circuit", [_C2, _C3, _wide_circuit(5)],
-                         ids=["2q", "3q", "5q"])
+@pytest.mark.parametrize("circuit", [_C2, _C3, _wide_circuit(5), _random_angle_circuit()],
+                         ids=["2q", "3q", "5q", "random"])
 def test_density_engine_matches_kraus_reference(circuit, arm):
     got = _density_matrix(circuit, _ARMS[arm])
     want = _density_reference(circuit, _ARMS[arm])
@@ -645,30 +659,12 @@ def test_noisy_sampled_bits_do_not_depend_on_blas_threads(threads):
     assert out.strip() == digest
 
 
-def test_basis_change_is_built_on_first_noisy_evolve():
-    # complex numpy constants built at import raised the peak RSS of every
-    # process, including those that never simulate noise
+def test_no_map_is_cached_at_import():
+    # the fixed gate and channel maps are built on the first noisy evolve,
+    # so a process that never simulates noise builds none
     _run_python("import vqf.cli, vqf.sim as s\n"
-                "assert not s._TO_ENTRIES and not s._TO_COORDS")
-
-
-@pytest.mark.parametrize("arm", sorted(_ARMS))
-def test_blocks_in_hermitian_coordinates_are_real(arm):
-    # the engine keeps only the real part of each block, so it must have
-    # no imaginary part to lose; the runs sit on nonadjacent qubits
-    rng = np.random.default_rng(5)
-    for _ in range(8):
-        a, b, c = rng.uniform(-math.pi, math.pi, size=3)
-        runs = [((3,), [Gate("H", (3,)), Gate("RX", (3,), angle=a),
-                        Gate("RZ", (3,), angle=b)]),
-                ((1, 4), [Gate("H", (4,)), Gate("CNOT", (1, 4)),
-                          Gate("RZ", (4,), angle=a), Gate("CNOT", (4, 1)),
-                          Gate("RX", (1,), angle=b), Gate("RZ", (1,), angle=c)])]
-        for qubits, gates in runs:
-            k = len(qubits)
-            block = (sim._TO_COORDS[k] @ sim._superoperator(gates, qubits, _ARMS[arm])
-                     @ sim._TO_ENTRIES[k])
-            assert np.abs(block.imag).max() <= 1e-15
+                "assert not s._fixed_map.cache_info().currsize\n"
+                "assert not s._channel_map.cache_info().currsize")
 
 
 # -- estimators ----------------------------------------------------------------------

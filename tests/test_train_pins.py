@@ -1,5 +1,6 @@
 """Pinned training runs: the sha256 of every `OptResult` that the quick
-start and the noisy-train benchmark's noiseless baseline produce.
+start and the noisy-train benchmark's noiseless baseline produce, and of
+the noisy-train benchmark's whole report.
 
 Each digest covers the winning angles as little-endian float64 bytes,
 then the best objective, the history, and the evaluation and generation
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from vqf.encoder import FactoringInstance, build_clauses, load_clause_file, preprocess
+from vqf.evaluate import SweepConfig, reports_to_json, sweep
 from vqf.optimize import DeConfig, train_qaoa
 from vqf.sim import NoiseModel
 from vqf.transform import ALL_KINDS, GROBNER, apply_transform, to_hamiltonian
@@ -140,3 +142,24 @@ def test_quickstart_training_is_pinned(kind_name, p, seed):
 def test_noisy_train_baseline_training_is_pinned(seed):
     digest = _digest("291311", GROBNER.name, 1, seed, 8, 4)
     assert digest == _BASELINE_291311[seed]
+
+
+# sha256 of `reports_to_json` for the `noisy-train-291311` sweep (GROBNER,
+# p=1, level 1.0, 512 train shots, 2,048 report shots, population 8,
+# 4 generations): the bytes `vqf sweep` writes to nrpg-report-*.json.
+# Every noisy shot of training and of the report goes into them.
+_NOISY_TRAIN_REPORTS = [
+    "46246d82bf2dfa74dc8cb6b0215e27891fada28fa1f47977e729aea3c037787b",
+    "9bc7005dcd824a1121d2e15586c4364df12b5d01aac1ddeee3ea2dd5034a55e5",
+    "ffbc42ee81d1d3352571deba969642f3e867174f5416f90386ac6ea25a36a112",
+]
+
+
+@pytest.mark.parametrize("seed", range(len(_NOISY_TRAIN_REPORTS)))
+def test_noisy_train_report_is_pinned(seed):
+    cfg = SweepConfig(seeds=(seed,), train_shots=512, report_shots=2048,
+                      population_size=8, max_generations=4)
+    reports = sweep(load_clause_file(_CLAUSES_291311), [GROBNER], [1], [1.0], cfg,
+                    label=_CLAUSES_291311.stem)
+    digest = hashlib.sha256(reports_to_json(reports).encode()).hexdigest()
+    assert digest == _NOISY_TRAIN_REPORTS[seed]
