@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import re
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -76,11 +77,23 @@ def _gate_to_doc(g: Gate) -> dict:
     return doc
 
 
+def _finite(g: Gate) -> Gate:
+    """`g` itself, if its angle or parameter scale is finite.
+
+    The parsers check this, not `Gate`, which `bind` builds per gate: a NaN
+    angle would otherwise simulate without complaint.
+    """
+    for x in (g.angle, None if g.param is None else g.param[2]):
+        if x is not None and not math.isfinite(x):
+            raise ValueError(f"{g.kind} angle {x} is not finite")
+    return g
+
+
 def _gate_from_doc(doc: dict) -> Gate:
     param = doc.get("param")
     if param is not None:
         param = (str(param[0]), int(param[1]), float(param[2]))
-    return Gate(doc["kind"], doc["qubits"], doc.get("angle"), param)
+    return _finite(Gate(doc["kind"], doc["qubits"], doc.get("angle"), param))
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -283,8 +296,8 @@ def parse_qasm(text: str) -> BoundCircuit:
             raise ParseError(f"line {lineno}: qubit {max(qubits)} outside the "
                              f"{n_qubits}-qubit register")
         try:  # Gate checks the operand count, repeats and the angle
-            gates.append(Gate(_QASM_KINDS[op], qubits,
-                              None if angle is None else float(angle)))
+            gates.append(_finite(Gate(_QASM_KINDS[op], qubits,
+                                      None if angle is None else float(angle))))
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {line!r}: {exc}") from exc
     if n_qubits is None:

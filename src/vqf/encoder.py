@@ -14,7 +14,9 @@ interval bounds, single-clause tightening, a parity rule, and probing
 (tentatively fix one variable or a pair, propagate, and discard values that
 hit a contradiction).  All rules only ever remove assignments that satisfy
 no clause system solution, so the solution set projected onto the surviving
-variables is preserved exactly.
+variables is preserved exactly.  Propagation keeps a worklist, as unit
+propagation in SAT solvers does: a fix is substituted into, and rescanned
+in, only the clauses that hold its variable.
 """
 
 from __future__ import annotations
@@ -22,11 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import Infeasible, InfeasibleInstance, MissingVariable, ParseError
+from .errors import (Infeasible, InfeasibleInstance, InvalidConfig, MissingVariable,
+                     ParseError)
 from .pboly import (BoolPoly, Var, carry, format_poly, merge_fixes, parse_poly,
                     pvar, qvar)
 
@@ -214,41 +217,58 @@ def _scan_fixes(clauses: Sequence[BoolPoly]) -> Dict[Var, int]:
     return found
 
 
-def _apply(clauses: List[BoolPoly], fixes: Dict[Var, FixTarget]) -> List[BoolPoly]:
-    out = []
-    for c in clauses:
-        c2 = c.substitute(fixes)
-        if c2.is_zero():
-            continue
-        if not c2.variables():
-            if c2.constant:
-                raise Infeasible("clause reduced to nonzero constant")
-            continue
-        out.append(c2)
-    return out
+def _propagate(clauses: List[BoolPoly], fixes: Optional[Dict[Var, int]] = None
+               ) -> Tuple[List[BoolPoly], Dict[Var, int]]:
+    """Apply `fixes`, then run the cheap rules to fixpoint.
 
-
-def _propagate(clauses: List[BoolPoly]) -> Tuple[List[BoolPoly], Dict[Var, int]]:
-    """Run the cheap rules to fixpoint.  Returns (clauses, derived fixes)."""
+    Returns (clauses, the given fixes followed by the derived ones).  Each
+    round substitutes its fixes into, and the next scans, only the clauses
+    holding a fixed variable, in list order.  A clause no fix touched
+    yields nothing new, so the rounds find what full rescans would, in the
+    same order.  Without `fixes` the first round scans every clause; with
+    them, `clauses` must already be at a fixpoint.
+    """
+    clauses = list(clauses)
+    held = [{v for m in c.terms for v in m} for c in clauses]
+    index: Dict[Var, List[int]] = {}
+    for i, vs in enumerate(held):
+        for v in vs:
+            index.setdefault(v, []).append(i)
+    found = _scan_fixes(clauses) if fixes is None else fixes
     derived: Dict[Var, int] = {}
-    while True:
-        found = _scan_fixes(clauses)
-        if not found:
-            return clauses, derived
+    while found:
         merge_fixes(derived, found)
-        clauses = _apply(clauses, found)
+        touched = sorted({i for v in found for i in index.get(v, ())
+                          if v in held[i]})
+        rescan = []
+        for i in touched:
+            c = clauses[i].substitute(found)
+            held[i] = {v for m in c.terms for v in m}
+            if held[i]:
+                clauses[i] = c
+                rescan.append(c)
+            elif c.constant:
+                raise Infeasible("clause reduced to nonzero constant")
+            else:
+                clauses[i] = None
+        found = _scan_fixes(rescan)
+    return [c for c in clauses if c is not None], derived
 
 
 def _feasible(clauses: Sequence[BoolPoly], assumption: Dict[Var, int]) -> bool:
-    """Can propagation live with this tentative assignment?"""
+    """Can propagation live with this tentative assignment?
+
+    `clauses` must be at a propagation fixpoint.
+    """
     try:
-        _propagate(_apply(list(clauses), assumption))
+        _propagate(clauses, assumption)
         return True
     except Infeasible:
         return False
 
 
-def _annihilate_products(clauses: List[BoolPoly]) -> Tuple[List[BoolPoly], bool]:
+def _annihilate_products(clauses: List[BoolPoly]
+                         ) -> Optional[Tuple[List[BoolPoly], Dict[Var, int]]]:
     """Strip monomials whose variable pair is provably never (1,1).
 
     For every pair of variables sharing a monomial, probe the joint
@@ -257,8 +277,13 @@ def _annihilate_products(clauses: List[BoolPoly]) -> Tuple[List[BoolPoly], bool]
     multiple of uv) can be removed without losing solutions.  The
     reduced system is then re-probed: every pair actually used must
     still be refuted, which closes the reverse inclusion and makes the
-    rewrite an exact solution-set-preserving step.  On any verification
-    failure the original clauses are returned untouched.
+    rewrite an exact solution-set-preserving step.
+
+    Returns the rewrite, propagated, and the fixes that propagation
+    derived; None when nothing was removed or a verification failed.
+    Probes start from a fixpoint, so the rewrite is propagated first.  The
+    rules only tighten as variables get fixed, so that order does not
+    change a verdict, and a pair propagation fixed to 0 is refuted already.
     """
     co = set()
     for c in clauses:
@@ -268,7 +293,7 @@ def _annihilate_products(clauses: List[BoolPoly]) -> Tuple[List[BoolPoly], bool]
                     co.add((m[a], m[b]))
     zero = {pr for pr in co if not _feasible(clauses, {pr[0]: 1, pr[1]: 1})}
     if not zero:
-        return clauses, False
+        return None
 
     used = set()
     out: List[BoolPoly] = []
@@ -290,11 +315,12 @@ def _annihilate_products(clauses: List[BoolPoly]) -> Tuple[List[BoolPoly], bool]
             continue
         out.append(kept)
     if not used:
-        return clauses, False
+        return None
+    out, derived = _propagate(out)
     for u, v in sorted(used):
-        if _feasible(out, {u: 1, v: 1}):
-            return clauses, False
-    return out, True
+        if 0 not in (derived.get(u), derived.get(v)) and _feasible(out, {u: 1, v: 1}):
+            return None
+    return out, derived
 
 
 def preprocess(cs: ClauseSystem, probe_depth: int = 2) -> ClauseSystem:
@@ -304,7 +330,9 @@ def preprocess(cs: ClauseSystem, probe_depth: int = 2) -> ClauseSystem:
     variables; depth 2 additionally probes co-occurring pairs, fixing
     one-sided values and erasing products that can never switch on.
     Deterministic given probe_depth: scans follow the canonical variable
-    order.
+    order.  A probe costs what its fixes touch, not the whole system:
+    propagation substitutes and rescans only the clauses holding a fixed
+    variable.  Clauses equal to 0 are dropped.
 
     The rules only add, subtract and compare, so each clause whose
     coefficients are all integral (every clause `build_clauses` makes) is
@@ -312,16 +340,11 @@ def preprocess(cs: ClauseSystem, probe_depth: int = 2) -> ClauseSystem:
     Fractions.  The returned clauses hold Fractions, as the input did.
     """
     if probe_depth not in (0, 1, 2):
-        raise ValueError("probe_depth must be 0, 1, or 2")
+        raise InvalidConfig(f"probe_depth must be 0, 1 or 2, got {probe_depth}")
     clauses = [BoolPoly({m: k.numerator for m, k in c.terms.items()})
                if all(k.denominator == 1 for k in c.terms.values()) else c
-               for c in cs.clauses]
+               for c in cs.clauses if not c.is_zero()]
     fixes: Dict[Var, FixTarget] = dict(cs.fixes)
-
-    def absorb(new: Dict[Var, FixTarget]):
-        nonlocal clauses
-        merge_fixes(fixes, new)
-        clauses = _apply(clauses, new)
 
     clauses, derived = _propagate(clauses)
     merge_fixes(fixes, derived)
@@ -341,8 +364,7 @@ def preprocess(cs: ClauseSystem, probe_depth: int = 2) -> ClauseSystem:
                     if not f0 and not f1:
                         raise Infeasible(f"{v.name} has no feasible value")
                     if f0 != f1:
-                        absorb({v: 0 if f0 else 1})
-                        clauses, derived = _propagate(clauses)
+                        clauses, derived = _propagate(clauses, {v: 0 if f0 else 1})
                         merge_fixes(fixes, derived)
                         progress = changed = True
         if probe_depth >= 2:
@@ -359,7 +381,7 @@ def preprocess(cs: ClauseSystem, probe_depth: int = 2) -> ClauseSystem:
                             live.add((bu, bv))
                 if not live:
                     raise Infeasible(f"no joint value for {u.name},{v.name}")
-                new: Dict[Var, FixTarget] = {}
+                new: Dict[Var, int] = {}
                 u_vals = {a for a, _ in live}
                 v_vals = {b for _, b in live}
                 if len(u_vals) == 1:
@@ -367,16 +389,16 @@ def preprocess(cs: ClauseSystem, probe_depth: int = 2) -> ClauseSystem:
                 if len(v_vals) == 1:
                     new[v] = v_vals.pop()
                 if new:
-                    absorb(new)
-                    clauses, derived = _propagate(clauses)
+                    clauses, derived = _propagate(clauses, new)
                     merge_fixes(fixes, derived)
                     changed = True
                     break  # pair list is stale; rebuild
         if not changed and probe_depth >= 2:
-            clauses, changed = _annihilate_products(clauses)
-            if changed:
-                clauses, derived = _propagate(clauses)
+            rewrite = _annihilate_products(clauses)
+            if rewrite is not None:
+                clauses, derived = rewrite
                 merge_fixes(fixes, derived)
+                changed = True
         if not changed:
             break
 

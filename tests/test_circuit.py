@@ -206,6 +206,22 @@ def test_circuit_json_rejects_garbage():
         BoundCircuit.from_json('{"n_qubits": 2}')
 
 
+@pytest.mark.parametrize("cls, gate", [
+    (BoundCircuit, '{"kind": "RZ", "qubits": [0], "angle": Infinity}'),
+    (BoundCircuit, '{"kind": "RX", "qubits": [1], "angle": NaN}'),
+    (BoundCircuit, '{"kind": "RX", "qubits": [1], "angle": "-inf"}'),
+    (ParamCircuit, '{"kind": "RZ", "qubits": [0], "param": ["gamma", 0, NaN]}'),
+    (ParamCircuit, '{"kind": "RX", "qubits": [1], "param": ["beta", 0, -Infinity]}'),
+    (ParamCircuit, '{"kind": "RX", "qubits": [1], "angle": Infinity}'),
+], ids=["angle-inf", "angle-nan", "angle-str", "scale-nan", "scale-neg-inf",
+        "param-circuit-angle"])
+def test_circuit_json_rejects_non_finite_angles(cls, gate):
+    # json.loads reads NaN and Infinity; the circuit must not
+    text = f'{{"n_qubits": 2, "p": 1, "gates": [{gate}]}}'
+    with pytest.raises(ParseError, match="not finite"):
+        cls.from_json(text)
+
+
 # -- QASM ------------------------------------------------------------------------------
 
 def test_qasm_round_trip():
@@ -249,6 +265,9 @@ def test_qasm_parse_skips_comments_and_blanks():
     "cx q[1],q[1];",        # a repeated qubit
     "cx q[0],q[2];",        # outside the register
     "h q[2];",
+    "rx(nan) q[1];",        # a non-finite angle
+    "rz(inf) q[0];",
+    "rx(-Infinity) q[0];",
 ])
 def test_qasm_parse_rejects_malformed_gates(line):
     with pytest.raises(ParseError, match="line 3"):

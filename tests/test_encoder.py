@@ -5,6 +5,7 @@ them by hand and by exhaustive enumeration; any drift here means the
 presolve changed behavior.
 """
 
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -12,9 +13,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vqf.encoder import (
+    ClauseSystem,
     FactoringInstance,
+    _annihilate_products,
     _excludes_zero,
     _excludes_zero_at,
+    _feasible,
+    _propagate,
     build_clauses,
     clause_file_text,
     cost_function,
@@ -25,7 +30,7 @@ from vqf.encoder import (
     resolve_fix,
     write_clause_file,
 )
-from vqf.errors import Infeasible, InfeasibleInstance
+from vqf.errors import Infeasible, InfeasibleInstance, InvalidConfig, VqfError
 from vqf.pboly import (BoolPoly, Var, brute_force_minima, format_poly,
                        parse_poly, pvar, qvar)
 
@@ -153,6 +158,114 @@ def test_presolve_2867(system_2867):
         "-2 + p1 + p4 + q1 + q4",
     ]
     assert [v.name for v in system_2867.free_vars] == ["p1", "p4", "q1", "q4"]
+
+
+# sha256 of clause_file_text(preprocess(...)), recorded before propagation
+# became a worklist: the worklist must reach these bytes exactly
+_PRESOLVE_DIGESTS = {
+    (35, 3): ("5679d274827a7ee9bdac6cdf1a1a6c1cf8482c35edaeb805bd2e47ae665dec9f",
+              "5679d274827a7ee9bdac6cdf1a1a6c1cf8482c35edaeb805bd2e47ae665dec9f",
+              "bc373a93444020c47244877b0d0fce076f6bb945e06f90bcc568c45a44920159"),
+    (143, 4): ("5f7eb85e0f2b9f9b8d22c8ae43982e48d849ce668a9726ca06053479df189b23",
+               "6da886611987f3485acbd0336cbb6ead4bc63bb3e65d7d6fbceb256d8b07b110",
+               "7ca2d8bfec49b708db3c13935c0dadc2a36a7fe181dc0c1ebcfa19696e7280c5"),
+    (291311, 10): ("95223b31364ca874c033eb883130148b38d5358aa137321c595f8e426150bada",
+                   "b6ca2a50823f080252afc7934a5d4c2ee85d4880cfa4caca2d1f6c0488d82f81",
+                   "9e6cf4650969f35c2af3cb1eae4c1c6366fb5065ccfbfbc96915ad7ca01f6a92"),
+    (58483, 8): ("8fd754587144895ea98d9a97b229d3ef5ae139ead19cd07082951fa3ff611b19",
+                 "3ae94bd4bcb077fffac1026192122e196e9f1ded7caf772020c9156e9519f91f",
+                 "fc12caba7bff3b1af5498f12b58d205e317c10d41c35300b15a095b54df9becd"),
+    (2867, 6): ("d66cdae3fd4894d44cf846fcc248de5d1cd4401111f2fe48647e18d239be73c0",
+                "d50779422e4a4c89ec76987b88e68ea35b3b95ca8fa2bc98f81db5f98f464f01",
+                "43d8e825ef0baa5ca360e1f8bd98708d89ba075f8160bf831b2a600d4b8341af"),
+}
+
+
+@pytest.mark.parametrize("n, bits", list(_PRESOLVE_DIGESTS))
+@pytest.mark.parametrize("depth", [0, 1, 2])
+def test_presolve_output_is_pinned(n, bits, depth):
+    text = clause_file_text(preprocess(build_clauses(FactoringInstance(n, bits)),
+                                       probe_depth=depth))
+    assert hashlib.sha256(text.encode()).hexdigest() == _PRESOLVE_DIGESTS[n, bits][depth]
+
+
+def _presolve_record(cs, depth):
+    """The clause text and the fixes in insertion order, or the error."""
+    try:
+        out = preprocess(cs, probe_depth=depth)
+    except VqfError as exc:
+        return f"{type(exc).__name__}: {exc}\n"
+    fixes = "".join(f"{v.name} -> {t.name if isinstance(t, Var) else t}\n"
+                    for v, t in out.fixes.items())
+    return clause_file_text(out) + fixes
+
+
+def test_presolve_of_random_systems_is_pinned():
+    # 1,800 presolves; some of them erase products (`_annihilate_products`)
+    h = hashlib.sha256()
+    for seed in range(200):
+        for n_bits, n_clauses in ((3, 4), (4, 6), (5, 8)):
+            cs = make_random_clause_system(seed, n_bits, n_clauses)
+            for depth in (0, 1, 2):
+                h.update(f"{seed} {n_bits} {n_clauses} {depth}\n".encode())
+                h.update(_presolve_record(cs, depth).encode())
+    assert h.hexdigest() == "b317ff1c1a896de3fa8c9f9df6ed528900f2cd541585ab91c04a9cfdcc589482"
+
+
+def test_probe_substitutes_only_the_clauses_its_fixes_touch(monkeypatch):
+    settled, _ = _propagate(build_clauses(FactoringInstance(291311, 10)).clauses)
+    v = Var.parse("z2_3")  # in 2 of the 14 clauses; both values propagate
+    calls = []
+    substitute = BoolPoly.substitute
+
+    def spy(self, fixes):
+        calls.append((self, dict(fixes)))
+        return substitute(self, fixes)
+
+    monkeypatch.setattr(BoolPoly, "substitute", spy)
+    for b, feasible in ((0, True), (1, False)):
+        calls.clear()
+        assert _feasible(settled, {v: b}) is feasible
+        # first the clauses holding v, in list order; then only clauses
+        # holding a variable that the previous round fixed
+        assert [c for c, f in calls if f == {v: b}] == [
+            c for c in settled if v in c.variables()]
+        assert len(calls) > 2
+        for c, f in calls:
+            assert not set(f).isdisjoint(c.variables())
+
+
+@pytest.mark.parametrize("clauses, want", [
+    # the rewrite propagates to p1 = 0, which refutes (p1, q2) = (1, 1)
+    (["-2*p1*q2", "-p1 + p1*q2"], ([], {"p1": 0})),
+    (["-p1*p3 + q1*q3 + p3*p4*q1 + p4*q2*q3", "2*q3 - 2*q2*q3",
+      "-2 + 2*p3 + p4*q2 + q1*q3 - p3*q1*q2", "-q2 + 2*p1*q2"],
+     (["-p1 + p4*q1"], {"q3": 0, "p3": 1, "q2": 0})),
+    # the rewrite propagates to p3 = 1, and (p2, p3) = (1, 1) stays live
+    (["-2 + 2*p3 + 2*p2*p3 + 2*p2*q3", "-1 + p2 + q3"], None),
+])
+def test_annihilation_reprobes_its_propagated_rewrite(clauses, want):
+    # an erased product can leave a rewrite that propagation reduces
+    # further; the verdicts must be those of probing the raw rewrite
+    # (recorded before propagation became a worklist)
+    clauses = [parse_poly(c) for c in clauses]
+    assert _propagate(clauses)[1] == {}  # probes start from a fixpoint
+    got = _annihilate_products(clauses)
+    if got is not None:
+        got = ([format_poly(c) for c in got[0]], {v.name: t for v, t in got[1].items()})
+    assert got == want
+
+
+def test_presolve_rejects_an_unknown_probe_depth(raw_143):
+    with pytest.raises(InvalidConfig, match="probe_depth must be 0, 1 or 2, got 3"):
+        preprocess(raw_143, probe_depth=3)
+
+
+def test_presolve_drops_zero_clauses():
+    # a clause equal to 0 holds nothing, whether or not anything gets fixed
+    for text in ("-1 + p1 + q1", "-1 + p1"):
+        out = preprocess(ClauseSystem([BoolPoly.zero(), parse_poly(text)]))
+        assert all(c.variables() for c in out.clauses)
 
 
 @pytest.mark.parametrize("fixture, n, bits, pair", [
