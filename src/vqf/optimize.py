@@ -9,8 +9,9 @@ then deterministic and regression-testable, at the price of a small
 frozen shot-noise bias.
 
 DE draws every decision of a generation before it scores any candidate,
-so a generation is scored as one trial matrix.  Without noise its
-candidates evolve together in one batched statevector pass, and each
+so a generation is scored as one trial matrix.  Its candidates evolve
+together, without noise in one batched statevector pass and under noise
+from one density plan built per training run (`sim._DensityPlan`).  Each
 still draws its shots from its own slot's seed, so the result is bit for
 bit that of binding and sampling them one at a time.
 """
@@ -28,8 +29,8 @@ import numpy as np
 
 from .circuit import compile_qaoa
 from .errors import InvalidConfig, ParseError
-from .sim import (NoiseModel, _noise_active, _sample_noiseless, _seed_tuple,
-                  check_width, estimate_expectation, sample)
+from .sim import (NoiseModel, _DensityPlan, _noise_active, _sample_noiseless,
+                  _seed_tuple, check_width, estimate_expectation)
 from .transform import Hamiltonian
 
 Seed = Union[int, Sequence[int]]
@@ -72,7 +73,7 @@ class DeConfig:
         if self.max_generations < 1:
             raise InvalidConfig(
                 f"max_generations must be >= 1, got {self.max_generations}")
-        if self.tol < 0.0:
+        if not self.tol >= 0.0:  # phrased so that NaN fails it
             raise InvalidConfig(f"tol must be nonnegative, got {self.tol}")
         lo, hi = float(self.bounds[0]), float(self.bounds[1])
         if not lo < hi:
@@ -219,9 +220,9 @@ def train_qaoa(h: Hamiltonian, p: int, nm: NoiseModel, m: int = 2048,
     The candidate vector is (gamma_1..gamma_p, beta_1..beta_p).  Each
     candidate is scored by sampling m shots under nm with the seed
     (cfg.seed, generation, member) and averaging h's diagonal over the
-    sampled basis indices.  Without active noise a generation's
-    candidates evolve together, unbound, in one batched statevector
-    pass; under noise each is bound and sampled on its own.  Training
+    sampled basis indices.  A generation's candidates evolve together,
+    unbound: without active noise in one batched statevector pass, under
+    noise from one `_DensityPlan` built for the whole run.  Training
     runs under the same noise configuration used for any later
     evaluation; there is no separate calibration pass.
     """
@@ -237,13 +238,12 @@ def train_qaoa(h: Hamiltonian, p: int, nm: NoiseModel, m: int = 2048,
     circuit = compile_qaoa(h, p)
     energies = h.diagonal()
     base = cfg.seed
-    noisy = any(_noise_active(nm))
+    plan = _DensityPlan(circuit, nm) if any(_noise_active(nm)) else None
 
     def score(X, gen):
         seeds = [(*base, gen, i) for i in range(len(X))]
-        if noisy:
-            shots = (sample(circuit.bind(x[:p], x[p:]), nm, m, seed)
-                     for x, seed in zip(X, seeds))
+        if plan is not None:
+            shots = plan.sample(X, m, seeds)
         else:
             shots = _sample_noiseless(circuit, X, m, seeds)
         return np.array([estimate_expectation(s, energies) for s in shots])

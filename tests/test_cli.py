@@ -175,6 +175,15 @@ def test_config_unknown_key_rejected(workdir):
     assert run("pipeline", "--config", str(cfg), "--dry-run") == EXIT_CONFIG
 
 
+def test_config_nan_tol_rejected(workdir):
+    # json reads NaN; DE could never stop on it, and the config hash
+    # would be taken over it
+    cfg = _pipeline_config(workdir, tol=float("nan"))
+    assert '"tol": NaN' in cfg.read_text()
+    assert run("pipeline", "--config", str(cfg), "--dry-run") == EXIT_CONFIG
+    assert run("sweep", "--config", str(cfg)) == EXIT_CONFIG
+
+
 def test_config_toml_handling(workdir, capsys):
     toml = workdir / "run.toml"
     toml.write_text(

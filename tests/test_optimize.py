@@ -29,6 +29,7 @@ def test_de_config_defaults():
     {"dim": 0}, {"population_size": 3}, {"f": 0.0}, {"f": 2.5},
     {"cr": -0.1}, {"cr": 1.1}, {"max_generations": 0}, {"tol": -1e-6},
     {"bounds": (1.0, 1.0)}, {"bounds": (2.0, 1.0)}, {"seed": -1}, {"seed": (3, -4)},
+    {"tol": float("nan")},  # DE could never stop on tol
 ])
 def test_de_config_rejects(kw):
     base = {"dim": 2}

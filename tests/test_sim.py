@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import vqf.sim as sim
-from vqf.circuit import BoundCircuit, Gate, compile_qaoa
+from vqf.circuit import BoundCircuit, Gate, ParamCircuit, compile_qaoa
 from vqf.errors import InvalidConfig, ParseError, TooManyQubits
 from vqf.pboly import parse_poly, pvar, qvar
 from vqf.sim import (
@@ -29,8 +29,8 @@ from vqf.sim import (
     simulate_statevector,
     success_probability,
 )
-from vqf.transform import (ALL_KINDS, DIRECT, GROBNER, SCHALLER, apply_transform,
-                           to_hamiltonian)
+from vqf.transform import (ALL_KINDS, DIRECT, GROBNER, SCHALLER, SIM_GROBNER,
+                           apply_transform, to_hamiltonian)
 
 QUIET = NoiseModel().with_scale(0.0)
 
@@ -628,6 +628,173 @@ def test_block_products_stay_small(monkeypatch):
         assert rows * cols * width <= 1 << 14
     # the cap is what splits the products here: some are stacked
     assert max(stack for _, (stack, _, _) in shapes) > 1
+
+
+# -- batched noisy evolve ------------------------------------------------------------
+
+def _reference_coords(circuit, nm, keep=()):
+    """The engine's coordinates for a bound circuit, computed the way one
+    candidate at a time computed them before the density plan: each
+    block's map from the identity, gate by gate, noise times gate, lifted
+    by np.kron, then the same selections, gathers and product shapes.
+    The same arithmetic in the same order, so the same bytes; a rounding
+    move in the engine shows here and almost never in a sampled shot."""
+    n, gates, keep = circuit.n_qubits, circuit.gates, set(keep)
+    runs = sim._fuse(gates, sim._schedule(gates))
+    noise = sim._noise_maps(nm)
+    closes = {q: i for i, (qubits, _) in enumerate(runs) for q in qubits
+              if q not in keep}
+    src, dst = np.empty(4 ** n), np.empty(4 ** n)
+    src[0], size, order = 1.0, 1, []
+    for i, (qubits, run) in enumerate(runs):
+        k, local = len(qubits), {q: j for j, q in enumerate(qubits)}
+        sup = np.eye(4 ** k)
+        for g in (gates[j] for j in run):
+            if g.kind in ("H", "CNOT"):
+                m = sim._fixed_map(g.kind, local[g.qubits[0]] if g.kind == "CNOT" else 0)
+            else:
+                c, s = math.cos(g.angle), math.sin(g.angle)
+                m = np.array([[1.0, 0, 0, 0], [0, 1, 0, 0], [0, 0, c, s], [0, 0, -s, c]]
+                             if g.kind == "RZ" else
+                             [[(1 + c) / 2, (1 - c) / 2, 0, -s], [(1 - c) / 2, (1 + c) / 2, 0, s],
+                              [0, 0, 1, 0], [s / 2, -s / 2, 0, c]])
+            m = noise[g.kind == "CNOT"] @ m
+            if k > len(g.qubits):
+                m = np.kron(m, np.eye(4)) if local[g.qubits[0]] else np.kron(np.eye(4), m)
+            sup = m @ sup
+        fresh = sum(3 << 2 * j for j, q in enumerate(qubits) if 2 * q not in order)
+        done = sum(2 << 2 * j for j, q in enumerate(qubits) if closes.get(q) == i)
+        sup = sup[np.ix_([x for x in range(4 ** k) if not x & done],
+                         [x for x in range(4 ** k) if not x & fresh])]
+        front = [b for q in reversed(qubits) if 2 * q in order for b in (2 * q + 1, 2 * q)]
+        if order[:len(front)] != front:
+            new = front + [b for b in order if b not in front]
+            np.copyto(dst[:size].reshape((2,) * len(new)), src[:size].reshape(
+                (2,) * len(order)).transpose([order.index(b) for b in new]))
+            src, dst, order = dst, src, new
+        rows, cols = sup.shape
+        rest = size // cols
+        width = min(rest, sim._GEMM_MACS // (rows * cols))
+        np.matmul(sup, src[:size].reshape(cols, rest // width, width).transpose(1, 0, 2),
+                  out=dst[:rows * rest].reshape(rows, rest // width, width).transpose(1, 0, 2))
+        order = [b for q in reversed(qubits) for b in (2 * q + 1, 2 * q)
+                 if b == 2 * q or closes.get(q) != i] + order[len(front):]
+        src, dst, size = dst, src, rows * rest
+    bits = [b for q in reversed(range(n)) for b in (2 * q + 1, 2 * q) if b == 2 * q or q in keep]
+    out = np.zeros(1 << len(bits))
+    held = out.reshape((2,) * len(bits))[
+        tuple(slice(None) if b in order else 0 for b in bits) + (...,)]
+    np.copyto(held, src[:size].reshape((2,) * len(order)).transpose(
+        [order.index(b) for b in bits if b in order]))
+    return out
+
+
+def _assert_plan_rows_equal_bound(circuit, X, nm, keep=(), rows_per_chunk=None,
+                                  monkeypatch=None):
+    """Every row that one `_DensityPlan` evolves has the bytes of the bound
+    circuit evolved alone, and of `_reference_coords`; with
+    `rows_per_chunk` the rows cross chunk boundaries."""
+    if rows_per_chunk is not None:
+        largest = sim._DensityPlan(circuit, nm, keep).largest
+        monkeypatch.setattr(sim, "_BATCH_AMPS", rows_per_chunk * largest)
+    plan = sim._DensityPlan(circuit, nm, keep)
+    if rows_per_chunk is not None:
+        assert plan.chunk == rows_per_chunk < len(X)
+    got = list(plan.evolve(X))
+    assert len(got) == len(X)
+    p = circuit.p
+    for x, coords in zip(X, got):
+        bound = circuit.bind(x[:p], x[p:])
+        want = _reference_coords(bound, nm, keep).tobytes()
+        assert coords.tobytes() == want
+        assert sim._evolve_density(bound, nm, keep).tobytes() == want
+
+
+@pytest.mark.parametrize("rows_per_chunk", [3, None], ids=["chunks-of-3", "one-chunk"])
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.name)
+def test_batched_density_rows_equal_bound_rows(system_143, monkeypatch, kind, p,
+                                               rows_per_chunk):
+    # 8 rows in chunks of 3, 3, 2, or all at once; the heavy gate-only
+    # model keeps every rounding of the channel maps in play
+    circuit = compile_qaoa(to_hamiltonian(apply_transform(system_143, kind)[0]), p)
+    for nm in (NoiseModel(), _ARMS["gate"]):
+        _assert_plan_rows_equal_bound(circuit, _candidates(p, 4, 7 * p), nm,
+                                      rows_per_chunk=rows_per_chunk,
+                                      monkeypatch=monkeypatch)
+
+
+@pytest.mark.parametrize("kind", [GROBNER, SIM_GROBNER], ids=lambda k: k.name)
+def test_batched_density_rows_equal_bound_rows_at_9_qubits(system_291311, monkeypatch,
+                                                           kind):
+    circuit = compile_qaoa(to_hamiltonian(apply_transform(system_291311, kind)[0]), 1)
+    assert circuit.n_qubits == 9
+    _assert_plan_rows_equal_bound(circuit, _candidates(1, 4, 11), NoiseModel(),
+                                  rows_per_chunk=3, monkeypatch=monkeypatch)
+
+
+@pytest.mark.parametrize("keep", [range(6), (1, 4)], ids=["all", "some"])
+def test_batched_density_rows_keep_qubits(system_143, monkeypatch, keep):
+    circuit = compile_qaoa(to_hamiltonian(apply_transform(system_143, SIM_GROBNER)[0]), 1)
+    assert circuit.n_qubits == 6
+    _assert_plan_rows_equal_bound(circuit, _candidates(1, 4, 5), _ARMS["both"], keep,
+                                  rows_per_chunk=3, monkeypatch=monkeypatch)
+
+
+def test_batched_density_rows_with_fixed_angles(monkeypatch):
+    # a parameter circuit may also hold RZ/RX gates of fixed angle; those
+    # compose like H and CNOT, before, between and after parameter gates
+    gates = [Gate("H", (0,)), Gate("RX", (1,), angle=0.4), Gate("CNOT", (0, 1)),
+             Gate("RZ", (1,), param=("gamma", 0, 1.5)), Gate("RZ", (0,), angle=-0.8),
+             Gate("CNOT", (1, 0)), Gate("RX", (1,), param=("beta", 0, 2.0)),
+             Gate("RX", (1,), angle=1.3), Gate("H", (2,)), Gate("RZ", (2,), angle=0.6),
+             Gate("CNOT", (2, 1)), Gate("RX", (2,), param=("beta", 0, 2.0))]
+    circuit = ParamCircuit(3, gates, 1)
+    _assert_plan_rows_equal_bound(circuit, _candidates(1, 4, 9), _ARMS["both"],
+                                  rows_per_chunk=3, monkeypatch=monkeypatch)
+
+
+@pytest.mark.parametrize("arm", sorted(_ARMS))
+@pytest.mark.parametrize("circuit", [_C2, _C3, _wide_circuit(5), _random_angle_circuit(),
+                                     _IDLE, _LONE, _EMPTY, _INTERLEAVED],
+                         ids=["2q", "3q", "5q", "random", "idle", "lone", "empty",
+                              "interleaved"])
+def test_bound_density_equals_reference_bytes(circuit, arm):
+    for keep in ((), range(circuit.n_qubits)):
+        want = _reference_coords(circuit, _ARMS[arm], keep)
+        assert sim._evolve_density(circuit, _ARMS[arm], keep).tobytes() == want.tobytes()
+
+
+def test_batched_density_samples_equal_sample(system_143):
+    circuit = compile_qaoa(to_hamiltonian(apply_transform(system_143, GROBNER)[0]), 1)
+    X = _candidates(1, 5, 2)
+    seeds = [(7, 3, i) for i in range(len(X))]
+    nm = NoiseModel()
+    for x, seed, got in zip(X, seeds, sim._DensityPlan(circuit, nm).sample(X, 300, seeds)):
+        want = sample(circuit.bind(x[:1], x[1:]), nm, 300, seed)
+        assert got.index.tolist() == want.index.tolist()
+        assert got.count.tolist() == want.count.tolist()
+
+
+@pytest.mark.parametrize("kind", [GROBNER, SIM_GROBNER], ids=lambda k: k.name)
+def test_noisy_buffers_stay_small(system_291311, monkeypatch, kind):
+    # two buffers of (rows per chunk) x (largest live tensor), never a
+    # 4^n coordinate array per row
+    circuit = compile_qaoa(to_hamiltonian(apply_transform(system_291311, kind)[0]), 1)
+    plan = sim._DensityPlan(circuit, NoiseModel())
+    X = _candidates(1, 12, 4)
+    shapes = []
+    empty = np.empty
+
+    def spy(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(np, "empty", spy)
+    assert len(list(plan.evolve(X))) == len(X)
+    assert shapes == [(2, min(len(X), plan.chunk) * plan.largest)]
+    assert shapes[0][1] <= max(sim._BATCH_AMPS, plan.largest)
 
 
 _DIGEST_CHILD = """

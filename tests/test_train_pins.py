@@ -1,5 +1,6 @@
 """Pinned training runs: the sha256 of every `OptResult` that the quick
-start and the noisy-train benchmark's noiseless baseline produce, and of
+start and the noisy-train benchmark's noiseless baseline produce, of
+noisy training on every kind of 143 and on three kinds of 291311, and of
 the noisy-train benchmark's whole report.
 
 Each digest covers the winning angles as little-endian float64 bytes,
@@ -12,6 +13,9 @@ of any candidate shows here.
 import functools
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -163,3 +167,95 @@ def test_noisy_train_report_is_pinned(seed):
                     label=_CLAUSES_291311.stem)
     digest = hashlib.sha256(reports_to_json(reports).encode()).hexdigest()
     assert digest == _NOISY_TRAIN_REPORTS[seed]
+
+
+# Noisy training at a small budget (256 shots, population 6, 3 generations,
+# seed 5): sha256 of `OptResult.to_json()`, recorded while every noisy
+# candidate was still bound and sampled on its own.  "gate" is gate noise
+# alone, at the heavy rates of test_sim's `_ARMS["gate"]`.
+_NOISE_MODELS = {
+    "default": NoiseModel(),
+    "gate": NoiseModel(p1=0.05, p2=0.1, t1_us=2.0, t2_us=3.0, dur1_ns=150.0,
+                       dur2_ns=400.0, decoherence_on=False),
+}
+
+_NOISY_TRAINING = {
+    ("143", "DIRECT", 1, "default"):
+        "cd036fa37c7b9093176d1f068baa5aa4db3bbaf713e4645b7af7e7f87eaafb8d",
+    ("143", "DIRECT", 1, "gate"):
+        "118765b82b71eb0738d0dcd8ff49853420e173ada6381da3e7fb6f4c44a01f43",
+    ("143", "DIRECT", 2, "default"):
+        "8221e8967ec4920abb0d6cbecab0d1b725f4e9ae364edb9d09eb1a7c85d944af",
+    ("143", "DIRECT", 2, "gate"):
+        "2b1e2d6b87145658a79e894b2f6a1d8f04ebe69c260b047c6dfedbeff642632c",
+    ("143", "SCHALLER", 1, "default"):
+        "9ab5d6cfe22291b7f60c19706497a509f4e4d492065e4744a82ca5a4789539ab",
+    ("143", "SCHALLER", 1, "gate"):
+        "90f7b6d2313eab74627501e8f0766530ef7bedcba1fb3e960999858760878111",
+    ("143", "SCHALLER", 2, "default"):
+        "f69d41b75ead3d08eddfc5b6c85174b72f7ed32ea9039d1fe7ab1dfdac28fb0e",
+    ("143", "SCHALLER", 2, "gate"):
+        "e097236fe9db7f42b9ad00bf8ebf927d08116403e4a0c6aeb4ac539f6f901597",
+    ("143", "GROBNER", 1, "default"):
+        "33f2f3f535d64f91911ece6fb5c1858837a91e006abfd888e6891281174b632e",
+    ("143", "GROBNER", 1, "gate"):
+        "33547af8c3587519a5d3bc400803ab32f076536596b9f8ca1cf93e44253a3379",
+    ("143", "GROBNER", 2, "default"):
+        "d85e73b9c21c267c6bde7b060738d9ec9aa8ed9ed1f137272a18766afbeef175",
+    ("143", "GROBNER", 2, "gate"):
+        "4683b4c9c58e1eedd95e32670a0098b9574114a31dfcba19f9307472cdce8b3c",
+    ("143", "SIM_GROBNER", 1, "default"):
+        "d8811f0c2e19fcb30498a0a4ddd1761e263e3175234e2e8feb18cfc62bed15ca",
+    ("143", "SIM_GROBNER", 1, "gate"):
+        "bd2f9135b495cec92d5e91567c8b0ba66034b287f1890dbe6c8f01db81358341",
+    ("143", "SIM_GROBNER", 2, "default"):
+        "3b97679638c1d88d97e5b79297645770434599d1d82fa87179c8576c463c9728",
+    ("143", "SIM_GROBNER", 2, "gate"):
+        "7a6cbc57bbb8dbbd6d9bf6c116a60cd44d320fc94f67b3de2268c5775d5ec19d",
+    ("291311", "SCHALLER", 1, "default"):
+        "b4f038f79f272175c6a5a07168aa3a07a135b46130cf9f87af9e1d533a064cba",
+    ("291311", "SCHALLER", 1, "gate"):
+        "f17a7352605c808635f60475d5d86d580908a8026af662e6dafcb5eac26679b1",
+    ("291311", "GROBNER", 1, "default"):
+        "2fed0ebdce11c4e9cbcede9f997701cc959a3b809504e7a59f7531bb5e9faff1",
+    ("291311", "GROBNER", 1, "gate"):
+        "37e5bf1d722b6e2388924b17f0e48b7b8c6e58234a537d23008a1fd29f6f3377",
+    ("291311", "SIM_GROBNER", 1, "default"):
+        "126f13704bd7f98dc1eaa62aed99ddd2a1836c5c421c806cbbc86eafd9ce3264",
+    ("291311", "SIM_GROBNER", 1, "gate"):
+        "b5a70a881d97fc56e93c5709e1c4de4c1c3d546206fb2500d21c201c31b41c63",
+}
+
+
+@pytest.mark.parametrize("instance, kind_name, p, model", sorted(_NOISY_TRAINING))
+def test_noisy_training_is_pinned(instance, kind_name, p, model):
+    cfg = DeConfig(dim=2 * p, population_size=6, max_generations=3, seed=(5,))
+    res = train_qaoa(_hamiltonian(instance, kind_name), p, _NOISE_MODELS[model], 256, cfg)
+    digest = hashlib.sha256(res.to_json().encode()).hexdigest()
+    assert digest == _NOISY_TRAINING[instance, kind_name, p, model]
+
+
+_TRAIN_CHILD = """
+import hashlib, sys
+from vqf.encoder import load_clause_file
+from vqf.optimize import DeConfig, train_qaoa
+from vqf.sim import NoiseModel
+from vqf.transform import SIM_GROBNER, apply_transform, to_hamiltonian
+h = to_hamiltonian(apply_transform(load_clause_file(sys.argv[1]), SIM_GROBNER)[0])
+cfg = DeConfig(dim=2, population_size=6, max_generations=3, seed=(5,))
+res = train_qaoa(h, 1, NoiseModel(), 256, cfg)
+print(hashlib.sha256(res.to_json().encode()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_noisy_training_does_not_depend_on_blas_threads(threads):
+    # the OpenBLAS thread count is read once at process start, so each
+    # count needs a fresh interpreter; 9-qubit SIM_GROBNER holds the
+    # largest tensors of any pinned training
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _TRAIN_CHILD, str(_CLAUSES_291311)],
+                         env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == _NOISY_TRAINING["291311", "SIM_GROBNER", 1, "default"]
