@@ -23,7 +23,7 @@ from .sim import (NoiseModel, SampleSet, simulate_statevector, sample,
 from .optimize import DeConfig, OptResult, minimize, train_qaoa
 from .evaluate import (NrpgReport, SweepConfig, compute_rand, nrpg, sweep,
                        masking_experiment, select_circuit,
-                       minimizer_bitstrings, reports_to_csv, reports_to_json,
+                       minimizer_indices, reports_to_csv, reports_to_json,
                        reports_from_json, reports_to_plot_tsv)
 
 __version__ = "0.1.0"

@@ -221,6 +221,9 @@ def bind(circuit: ParamCircuit, gamma: Sequence[float], beta: Sequence[float]) -
         raise DimensionMismatch(
             f"need {circuit.p} gammas and betas, got {len(gamma)} and {len(beta)}")
     values = {"gamma": [float(x) for x in gamma], "beta": [float(x) for x in beta]}
+    if not all(map(math.isfinite, values["gamma"] + values["beta"])):
+        raise InvalidConfig(f"angles must be finite, got gammas {values['gamma']} "
+                            f"and betas {values['beta']}")
     gates: List[Gate] = []
     for g in circuit.gates:
         if g.param is None:

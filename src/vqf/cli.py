@@ -25,8 +25,9 @@ from typing import Dict, List, Optional, Sequence
 from .circuit import bind, compile_qaoa, export_qasm, stats
 from .encoder import (FactoringInstance, build_clauses, clause_file_text,
                       load_clause_file, preprocess)
-from .errors import (Infeasible, InfeasibleInstance, InvalidConfig,
-                     InvalidPenaltyCoefficients, ParseError, VqfError)
+from .errors import (DimensionMismatch, Infeasible, InfeasibleInstance,
+                     InvalidConfig, InvalidPenaltyCoefficients, ParseError,
+                     VqfError)
 from .evaluate import (SweepConfig, reports_to_csv, reports_to_json,
                        reports_to_plot_tsv, select_circuit, sweep)
 from .optimize import DeConfig, train_qaoa
@@ -45,8 +46,9 @@ EXIT_INFEASIBLE = 3
 EXIT_RUNTIME = 4
 
 _CONFIG_ERRORS = (InvalidConfig, InvalidPenaltyCoefficients, ParseError,
-                  FileNotFoundError, IsADirectoryError, NotADirectoryError,
-                  PermissionError, KeyError, ValueError, TypeError)
+                  DimensionMismatch, FileNotFoundError, IsADirectoryError,
+                  NotADirectoryError, PermissionError, KeyError, ValueError,
+                  TypeError)
 _INFEASIBLE_ERRORS = (InfeasibleInstance, Infeasible)
 
 
@@ -225,12 +227,14 @@ def _cmd_compile(args) -> int:
     circuit = compile_qaoa(ham, args.p)
     st = stats(circuit)
     h12 = _hash12({"hamiltonian": ham.to_json(), "p": args.p})
-    if args.out:
-        _write(Path(args.out), circuit.to_json())
-    if args.qasm:
+    bound = None
+    if args.qasm:  # bind first, so that bad angles write no file
         if args.gamma is None or args.beta is None:
             raise InvalidConfig("QASM export needs --gamma and --beta angles")
         bound = bind(circuit, args.gamma, args.beta)
+    if args.out:
+        _write(Path(args.out), circuit.to_json())
+    if bound is not None:
         _write(Path(args.qasm), export_qasm(bound))
     print(f"config {h12}: {st.n_qubits} qubits, {st.n_cnot} CNOT, "
           f"{st.n_single_gates} single-qubit, depth {st.depth}")

@@ -42,7 +42,6 @@ class FactoringInstance:
 
     n: int
     bit_length: int
-    msb_lsb_fixed: bool = True
 
     def __post_init__(self):
         if self.bit_length < 2:
@@ -51,13 +50,13 @@ class FactoringInstance:
             raise InfeasibleInstance(f"{self.n} is not an odd number >= 9")
         # product of two L-bit numbers with MSB set spans 2L-1 or 2L bits
         width = self.n.bit_length()
-        if self.msb_lsb_fixed and not (2 * self.bit_length - 1 <= width <= 2 * self.bit_length):
+        if not 2 * self.bit_length - 1 <= width <= 2 * self.bit_length:
             raise InfeasibleInstance(
                 f"{self.n} has {width} bits, inconsistent with two "
                 f"{self.bit_length}-bit factors")
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class ClauseSystem:
     """Clauses over the free variables plus the accumulated fixes.
 
@@ -79,10 +78,9 @@ class ClauseSystem:
 def build_clauses(inst: FactoringInstance) -> ClauseSystem:
     """Column equations of the multiplication table for inst.n."""
     L = inst.bit_length
-    fixes: Dict[Var, FixTarget] = {}
-    if inst.msb_lsb_fixed:
-        for v in (pvar(0), qvar(0), pvar(L - 1), qvar(L - 1)):
-            fixes[v] = 1
+    # both factors are odd with their top bit set
+    fixes: Dict[Var, FixTarget] = dict.fromkeys(
+        (pvar(0), qvar(0), pvar(L - 1), qvar(L - 1)), 1)
 
     def bit_factor(v: Var) -> BoolPoly:
         t = fixes.get(v)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -37,13 +37,10 @@ _EVAL_SALT = 2 ** 31 - 1
 _BASELINE_EPS = 1e-6
 
 
-def minimizer_bitstrings(h: Hamiltonian) -> Set[str]:
-    """Exact argmin set of the Hamiltonian, as measurement bitstrings."""
+def minimizer_indices(h: Hamiltonian) -> np.ndarray:
+    """Exact argmin set of the Hamiltonian, as ascending basis indices."""
     diag = h.diagonal()
-    lo = diag.min()
-    n = h.n_qubits
-    hits = np.flatnonzero(diag <= lo + 1e-9)
-    return {format(int(idx), f"0{n}b")[::-1] for idx in hits}
+    return np.flatnonzero(diag <= diag.min() + 1e-9)
 
 
 def compute_rand(f: BoolPoly) -> float:
@@ -232,7 +229,7 @@ def sweep(instance: Instance, transformations: Sequence[TransformKind],
     reports: List[NrpgReport] = []
     for kind, poly, h in hams:
         rand = compute_rand(poly)
-        solutions = minimizer_bitstrings(h)
+        solutions = minimizer_indices(h)
         for p in p_list:
             circuit = compile_qaoa(h, p)
             st = stats(circuit)

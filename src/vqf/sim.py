@@ -26,9 +26,8 @@ Shot j draws its uniform from a counter-keyed substream, so the result is
 a deterministic function of (circuit, noise model, shot count, seed).
 
 A measured outcome is a basis index (bit k is qubit k) from sampling
-through scoring.  Bitstrings (character k is qubit k) appear only at the
-boundaries: the `SampleSet` constructor and CSV form, and the solution
-sets that `success_probability` takes.
+through scoring, solution sets included.  Only `SampleSet.counts` writes
+bitstrings (character k is qubit k), for display.
 """
 
 from __future__ import annotations
@@ -36,10 +35,10 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
-import re
 from dataclasses import dataclass
 from math import cos, exp, sin, sqrt
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import (Collection, Dict, Iterator, List, Optional, Sequence, Set, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -70,8 +69,6 @@ _BATCH_AMPS = 1 << 16
 Seed = Union[int, Sequence[int]]
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
-
-_BITSTRING = re.compile("[01]+")
 
 
 def _seed_tuple(seed: Seed) -> Tuple[int, ...]:
@@ -153,55 +150,40 @@ class NoiseModel:
             raise ParseError(f"bad noise model JSON: {exc}") from exc
 
 
-def _bits_index(bits: str, n: int) -> int:
-    """Basis index of an n-character bitstring whose character k is qubit k."""
-    if len(bits) != n or not _BITSTRING.fullmatch(bits):
-        raise InvalidConfig(f"{bits!r} is not a {n}-qubit bitstring")
-    return int(bits[::-1], 2)
-
-
+@dataclass(frozen=True, slots=True, eq=False)
 class SampleSet:
     """Measurement outcomes of an n-qubit register, as basis indices.
 
     Bit k of a basis index is the measured value of qubit k.  `index`
-    holds the distinct indices seen, ascending, and `count` how often
-    each was seen (read-only int64 arrays); they sum to the shot count
-    `total`.  The constructor takes the bitstring form instead, mapping
-    bitstrings (character k is qubit k, all of one width) to counts; the
-    `counts` property gives that form back for CSV and display.
+    holds the distinct indices seen, strictly ascending in [0, 2^n), and
+    `count` how often each was seen (read-only int64 copies); they sum
+    to the shot count `total`.  `counts` gives the bitstring form for
+    display.
     """
 
-    __slots__ = ("n_qubits", "index", "count", "total")
+    n_qubits: int
+    index: np.ndarray
+    count: np.ndarray
+    total: int
 
-    def __init__(self, counts: Mapping[str, int], total: int):
-        n = len(str(next(iter(counts), "")))
-        pairs = sorted((_bits_index(str(b), n), int(c)) for b, c in counts.items())
-        self._set(n, [i for i, c in pairs if c], [c for _, c in pairs if c], total)
-
-    @classmethod
-    def _from_indices(cls, n_qubits: int, index: np.ndarray, count: np.ndarray,
-                      total: int) -> "SampleSet":
-        """Build from ascending distinct basis indices and their counts."""
-        out = object.__new__(cls)
-        out._set(n_qubits, index, count, total)
-        return out
-
-    def _set(self, n_qubits: int, index, count, total: int) -> None:
-        index = np.asarray(index, dtype=np.int64)
-        count = np.asarray(count, dtype=np.int64)
+    def __post_init__(self):
+        n, total = int(self.n_qubits), int(self.total)
+        index = np.array(self.index, dtype=np.int64)
+        count = np.array(self.count, dtype=np.int64)
+        if index.ndim != 1 or index.shape != count.shape:
+            raise InvalidConfig(f"{index.shape} indices for {count.shape} counts")
+        if n < 0 or index.size and (np.any(index[1:] <= index[:-1]) or index[0] < 0
+                                    or int(index[-1]) >= 1 << n):
+            raise InvalidConfig(f"indices must be strictly ascending in [0, 2^{n})")
         if count.size and count.min() < 0:
             raise InvalidConfig("sample counts must be nonnegative")
         if int(count.sum()) != total:
             raise InvalidConfig(f"counts sum to {int(count.sum())}, not M={total}")
         index.setflags(write=False)
         count.setflags(write=False)
-        object.__setattr__(self, "n_qubits", int(n_qubits))
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "count", count)
-        object.__setattr__(self, "total", int(total))
-
-    def __setattr__(self, key, value):
-        raise AttributeError("SampleSet is immutable")
+        for name, value in (("n_qubits", n), ("index", index), ("count", count),
+                            ("total", total)):
+            object.__setattr__(self, name, value)
 
     @property
     def counts(self) -> Dict[str, int]:
@@ -209,36 +191,6 @@ class SampleSet:
         n = self.n_qubits
         return {format(int(i), f"0{n}b")[::-1]: int(c)
                 for i, c in zip(self.index, self.count)}
-
-    def frequency(self, bitstring: str) -> float:
-        """Fraction of shots that read `bitstring` (character k is qubit k)."""
-        x = _bits_index(bitstring, self.n_qubits)
-        j = int(np.searchsorted(self.index, x))
-        if j < self.index.size and self.index[j] == x:
-            return int(self.count[j]) / self.total
-        return 0.0
-
-    def to_csv(self) -> str:
-        lines = ["bitstring,count"]
-        lines.extend(f"{b},{c}" for b, c in sorted(self.counts.items()))
-        return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def from_csv(text: str) -> "SampleSet":
-        counts: Dict[str, int] = {}
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0].strip() != "bitstring,count":
-            raise ParseError("sample CSV must start with 'bitstring,count'")
-        for lineno, line in enumerate(lines[1:], start=2):
-            try:
-                bits, count = line.split(",")
-                counts[bits.strip()] = counts.get(bits.strip(), 0) + int(count)
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: bad sample row {line!r}") from exc
-        try:
-            return SampleSet(counts, sum(counts.values()))
-        except InvalidConfig as exc:
-            raise ParseError(f"bad sample CSV: {exc}") from exc
 
     def __repr__(self):
         return f"SampleSet(total={self.total}, distinct={self.index.size})"
@@ -772,7 +724,7 @@ def _sample_noiseless(circuit: ParamCircuit, X: np.ndarray, m: int,
 
 def _shots(probs: np.ndarray, n: int, m: int, seed_t: Tuple[int, ...]) -> SampleSet:
     values, counts = np.unique(_draw(probs, m, seed_t), return_counts=True)
-    return SampleSet._from_indices(n, values, counts, m)
+    return SampleSet(n, values, counts, m)
 
 
 def estimate_expectation(samples: SampleSet, energies: np.ndarray) -> float:
@@ -790,10 +742,15 @@ def estimate_expectation(samples: SampleSet, energies: np.ndarray) -> float:
     return float(samples.count @ energies[samples.index]) / samples.total
 
 
-def success_probability(samples: SampleSet, solutions: Set[str]) -> float:
-    """Fraction of shots landing in the solution set, given as bitstrings."""
-    if not solutions:
+def success_probability(samples: SampleSet, solutions: Collection[int]) -> float:
+    """Fraction of shots that land on a solution, the solutions given as
+    basis indices (`evaluate.minimizer_indices`)."""
+    targets = np.array(list(solutions))
+    if not targets.size:
         raise InvalidConfig("empty solution set")
-    targets = [_bits_index(b, samples.n_qubits) for b in solutions]
+    if (targets.dtype.kind not in "iu" or targets.min() < 0
+            or targets.max() >= 1 << samples.n_qubits):
+        raise InvalidConfig(
+            f"solutions must be basis indices in [0, 2^{samples.n_qubits})")
     hits = int(samples.count[np.isin(samples.index, targets)].sum())
     return hits / samples.total

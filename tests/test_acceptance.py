@@ -24,7 +24,7 @@ from vqf.cli import EXIT_OK, main
 from vqf.encoder import (FactoringInstance, build_clauses, cost_function,
                          decode_factors, preprocess)
 from vqf.evaluate import (SweepConfig, compute_rand, masking_experiment,
-                          minimizer_bitstrings, nrpg, select_circuit, sweep)
+                          minimizer_indices, nrpg, select_circuit, sweep)
 from vqf.optimize import DeConfig, train_qaoa
 from vqf.pboly import Var, brute_force_minima, pvar, qvar
 from vqf.sim import (NoiseModel, estimate_expectation, sample,
@@ -206,7 +206,7 @@ def test_07_noiseless_training_reaches_half_success(system_143):
                for g1 in grid for g2 in grid for b1 in grid for b2 in grid)
 
     quiet = NoiseModel().with_scale(0.0)
-    solutions = minimizer_bitstrings(h)
+    solutions = minimizer_indices(h)
     rand = compute_rand(poly)
     circuit = compile_qaoa(h, 2)
     succ = []

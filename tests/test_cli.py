@@ -113,6 +113,23 @@ def test_compile_qasm_needs_angles(workdir):
                "--qasm", str(workdir / "c.qasm")) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("angles", [
+    ("--gamma", "nan", "--beta", "0.3"),
+    ("--gamma", "0.1", "--beta", "inf"),
+    # two gammas for one layer: the angles are command-line configuration
+    ("--gamma", "0.1", "0.2", "--beta", "0.3"),
+])
+def test_compile_rejects_bad_angles(workdir, capsys, angles):
+    # non-finite angles used to exit 0 and write rz(nan) lines that
+    # parse_qasm rejects; a wrong angle count used to exit 4
+    hams = _transform_143(workdir)
+    circ, qasm = workdir / "circuit.json", workdir / "circuit.qasm"
+    assert run("compile", "--hamiltonian", str(hams["direct"]), "--p", "1",
+               "--out", str(circ), "--qasm", str(qasm), *angles) == EXIT_CONFIG
+    assert "error" in capsys.readouterr().err
+    assert not circ.exists() and not qasm.exists()
+
+
 def test_compile_rejects_bad_p(workdir):
     hams = _transform_143(workdir)
     assert run("compile", "--hamiltonian", str(hams["direct"]),

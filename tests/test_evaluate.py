@@ -1,13 +1,16 @@
 """Resilience scoring: the gain metric, sweeps, reports, selection."""
 
+import functools
 import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from vqf.circuit import CircuitStats, compile_qaoa, stats
-from vqf.encoder import (FactoringInstance, decode_factors, load_clause_file,
-                         make_random_clause_system)
+from vqf.encoder import (FactoringInstance, build_clauses, decode_factors,
+                         load_clause_file, make_random_clause_system,
+                         preprocess)
 from vqf.errors import (DegenerateBaseline, InvalidConfig, NoFeasibleCandidate,
                         TooManyQubits)
 from vqf.evaluate import (
@@ -15,7 +18,7 @@ from vqf.evaluate import (
     SweepConfig,
     compute_rand,
     masking_experiment,
-    minimizer_bitstrings,
+    minimizer_indices,
     nrpg,
     reports_from_json,
     reports_to_csv,
@@ -24,7 +27,7 @@ from vqf.evaluate import (
     select_circuit,
     sweep,
 )
-from vqf.pboly import BoolPoly
+from vqf.pboly import BoolPoly, brute_force_minima
 from vqf.sim import NoiseModel
 from vqf.transform import (ALL_KINDS, DIRECT, GROBNER, SCHALLER, SIM_GROBNER,
                            apply_transform, to_hamiltonian)
@@ -64,26 +67,48 @@ def test_compute_rand_frozen(system_143):
     assert compute_rand(BoolPoly.const(3)) == 1.0
 
 
-def test_minimizer_bitstrings_decode_to_factors(system_143):
+def test_minimizer_indices_decode_to_factors(system_143):
     poly, _ = apply_transform(system_143, DIRECT)
     h = to_hamiltonian(poly)
-    strings = minimizer_bitstrings(h)
-    assert strings == {"0110", "1001"}
-    inv = {q: v for v, q in h.var_map.items()}
-    for bits in strings:
-        assignment = {inv[k]: int(bits[k]) for k in range(len(bits))}
+    indices = minimizer_indices(h)
+    # bitstrings "0110" and "1001", character k being qubit k
+    assert indices.dtype == np.int64 and indices.tolist() == [6, 9]
+    for x in indices:
+        assignment = {v: (int(x) >> q) & 1 for v, q in h.var_map.items()}
         f1, f2 = decode_factors(system_143, assignment, 4)
         assert f1 * f2 == 143
 
 
-def test_minimizer_bitstrings_cover_aux_kinds(system_143):
-    # with product bits the solution strings double in length but stay
-    # two in number: the aux values are forced
+def test_minimizer_indices_cover_aux_kinds(system_143):
+    # with product bits the register doubles in width, but the minimizers
+    # stay two in number: the aux values are forced
     poly, _ = apply_transform(system_143, SIM_GROBNER)
     h = to_hamiltonian(poly)
-    strings = minimizer_bitstrings(h)
-    assert len(strings) == 2
-    assert all(len(b) == 6 for b in strings)
+    assert h.n_qubits == 6
+    assert len(minimizer_indices(h)) == 2
+
+
+_CLAUSES_291311 = Path(__file__).resolve().parents[1] / "bench" / "data" / "clauses-291311.txt"
+
+
+@functools.cache
+def _system(name):
+    if name == "291311":
+        return load_clause_file(_CLAUSES_291311)
+    n, bits = {"143": (143, 4), "2867": (2867, 6), "58483": (58483, 8)}[name]
+    return preprocess(build_clauses(FactoringInstance(n, bits)))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.name)
+@pytest.mark.parametrize("name", ["143", "2867", "58483", "291311"])
+def test_minimizer_indices_match_brute_force(name, kind):
+    # the diagonal's argmin against the polynomial's exact minimizers,
+    # each assignment read as a basis index through var_map
+    poly, _ = apply_transform(_system(name), kind)
+    h = to_hamiltonian(poly)
+    _, minimizers = brute_force_minima(poly)
+    want = sorted(sum(bit << h.var_map[v] for v, bit in m.items()) for m in minimizers)
+    assert minimizer_indices(h).tolist() == want
 
 
 # -- reports ------------------------------------------------------------------------

@@ -6,6 +6,7 @@ a Kraus/Pauli reference computed independently in this file.  Noisy
 sampling is checked to draw every shot from the density diagonal.
 """
 
+import dataclasses
 import hashlib
 import math
 import os
@@ -140,63 +141,45 @@ def test_noise_model_json_round_trip():
 
 def test_sample_set_validates_total():
     with pytest.raises(InvalidConfig):
-        SampleSet({"01": 2, "10": 1}, 4)
-
-
-def test_sample_set_csv_round_trip():
-    s = SampleSet({"01": 3, "10": 5, "11": 2}, 10)
-    back = SampleSet.from_csv(s.to_csv())
-    assert back.counts == s.counts and back.total == 10
-    assert s.frequency("10") == 0.5
-    assert s.frequency("01") == 0.3 and s.frequency("11") == 0.2
-    assert s.frequency("00") == 0.0
-
-
-@pytest.mark.parametrize("bits", ["xx", "1", "101", "", "0 "])
-def test_sample_set_frequency_rejects_malformed_bitstrings(bits):
-    # these used to read 0.0, as if the outcome had never been seen
-    s = SampleSet({"01": 3, "10": 5, "11": 2}, 10)
-    with pytest.raises(InvalidConfig):
-        s.frequency(bits)
-
-
-def test_sample_set_csv_rejects():
-    with pytest.raises(ParseError):
-        SampleSet.from_csv("count,bitstring\n01,2\n")
-    with pytest.raises(ParseError, match="line 2"):
-        SampleSet.from_csv("bitstring,count\n01,two\n")
-    # a non-binary character, ragged widths, an empty bitstring
-    for rows in ("0a,1\n101,2\n", "01,1\n101,2\n", ",3\n"):
-        with pytest.raises(ParseError):
-            SampleSet.from_csv("bitstring,count\n" + rows)
+        SampleSet(2, [1, 2], [2, 1], 4)
 
 
 @pytest.mark.parametrize("counts", [
-    {"0a": 1, "101": 2}, {"01": 1, "101": 2}, {"": 3}, {"0 1": 3},
+    ([2, 1], [1, 2]),   # unsorted
+    ([1, 1], [1, 2]),   # a duplicate index
+    ([1, 4], [1, 2]),   # past 2^n - 1
+    ([1, 2], [3]),      # one count for two indices
+    ([-1, 2], [1, 2]),  # a negative index
+    ([[1, 2]], [[1, 2]]),  # not one-dimensional
 ])
 def test_sample_set_rejects_malformed_outcomes(counts):
+    index, count = counts
     with pytest.raises(InvalidConfig):
-        SampleSet(counts, 3)
+        SampleSet(2, index, count, 3)
 
 
 def test_sample_set_stores_basis_indices():
-    # character k is qubit k, so "10" is index 1 and "01" index 2
-    s = SampleSet({"01": 1, "10": 3, "00": 0}, 4)
-    assert s.n_qubits == 2
+    # character k is qubit k, so index 1 reads "10" and index 2 "01"
+    given = np.array([1, 2])
+    s = SampleSet(2, given, [3, 1], 4)
+    assert dataclasses.is_dataclass(s)
     assert s.index.tolist() == [1, 2] and s.count.tolist() == [3, 1]
     assert s.counts == {"10": 3, "01": 1}
     with pytest.raises(ValueError):
         s.count[0] = 4
+    with pytest.raises(AttributeError):
+        s.total = 5
+    given[0] = 0  # the set holds its own copy
+    assert s.index.tolist() == [1, 2]
 
 
 def test_sample_set_checks_total_on_every_path():
+    # one constructor serves callers and the shot draw alike
     with pytest.raises(InvalidConfig):
-        SampleSet({"01": 2, "10": 1}, 4)
-    with pytest.raises(InvalidConfig):
-        SampleSet._from_indices(2, np.array([1, 2]), np.array([2, 1]), 4)
-    # from_csv takes M as the row sum, so only a negative row can break it
-    with pytest.raises(ParseError):
-        SampleSet.from_csv("bitstring,count\n01,-1\n")
+        SampleSet(2, [1, 2], [4, -1], 3)
+    s = sample(BoundCircuit(2, [Gate("H", (0,))]), QUIET, 64, 3)
+    assert int(s.count.sum()) == s.total == 64
+    assert SampleSet(2, [], [], 0).counts == {}
 
 
 # -- exact statevector -------------------------------------------------------------
@@ -839,7 +822,7 @@ def test_no_map_is_cached_at_import():
 def test_estimate_expectation_exact_average():
     h = to_hamiltonian(parse_poly("1 - p1 - q1 + 2*p1*q1"))
     assert h.var_map == {pvar(1): 0, qvar(1): 1}
-    s = SampleSet({"00": 1, "10": 1, "01": 1, "11": 5}, 8)
+    s = SampleSet(2, [0, 1, 2, 3], [1, 1, 1, 5], 8)
     # f values: 00 -> 1, 10 -> 0, 01 -> 0, 11 -> 1
     assert estimate_expectation(s, h.diagonal()) == float(Fraction(6, 8))
 
@@ -847,27 +830,30 @@ def test_estimate_expectation_exact_average():
 def test_estimate_expectation_fractional_costs():
     h = to_hamiltonian(parse_poly("-1/8 + 3/4*p1"))
     assert h.var_map == {pvar(1): 0}
-    s = SampleSet({"0": 3, "1": 1}, 4)
+    s = SampleSet(1, [0, 1], [3, 1], 4)
     assert estimate_expectation(s, h.diagonal()) == float(Fraction(-1, 8) + Fraction(3, 16))
 
 
 def test_estimate_expectation_rejects_wrong_width_energies():
-    s = SampleSet({"01": 2}, 2)
+    s = SampleSet(2, [2], [2], 2)
     with pytest.raises(InvalidConfig):
         estimate_expectation(s, np.zeros(8))
 
 
 def test_success_probability():
-    s = SampleSet({"0110": 30, "1001": 20, "1111": 50}, 100)
-    assert success_probability(s, {"0110", "1001"}) == pytest.approx(0.5)
-    assert success_probability(s, {"0000"}) == 0.0
+    # bitstrings "0110", "1001" and "1111" are indices 6, 9 and 15
+    s = SampleSet(4, [6, 9, 15], [30, 20, 50], 100)
+    assert success_probability(s, {6, 9}) == 0.5
+    assert success_probability(s, np.array([6, 9])) == 0.5
+    assert success_probability(s, {0}) == 0.0
     with pytest.raises(InvalidConfig):
         success_probability(s, set())
 
 
-@pytest.mark.parametrize("solution", ["011", "01101", "01a0"])
+@pytest.mark.parametrize("solution", ["011", "01101", "01a0", "0110", 16, -1])
 def test_success_probability_rejects_foreign_solutions(solution):
-    # a solution of the wrong width used to score 0.0 without complaint
-    s = SampleSet({"0110": 30, "1001": 20, "1111": 50}, 100)
+    # a solution of the wrong width used to score 0.0 without complaint;
+    # solutions are basis indices in [0, 2^n), and a bitstring is none
+    s = SampleSet(4, [6, 9, 15], [30, 20, 50], 100)
     with pytest.raises(InvalidConfig):
-        success_probability(s, {"0110", solution})
+        success_probability(s, [6, solution])

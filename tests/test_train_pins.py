@@ -151,11 +151,19 @@ def test_noisy_train_baseline_training_is_pinned(seed):
 # sha256 of `reports_to_json` for the `noisy-train-291311` sweep (GROBNER,
 # p=1, level 1.0, 512 train shots, 2,048 report shots, population 8,
 # 4 generations): the bytes `vqf sweep` writes to nrpg-report-*.json.
-# Every noisy shot of training and of the report goes into them.
+# Every noisy shot of training and of the report goes into them.  Seeds
+# 0-9 cover the seeds the benchmark runs this workload at.
 _NOISY_TRAIN_REPORTS = [
     "46246d82bf2dfa74dc8cb6b0215e27891fada28fa1f47977e729aea3c037787b",
     "9bc7005dcd824a1121d2e15586c4364df12b5d01aac1ddeee3ea2dd5034a55e5",
     "ffbc42ee81d1d3352571deba969642f3e867174f5416f90386ac6ea25a36a112",
+    "be56ea77a58d9b4535bb98a5f09ba26ca59ede11b720574a82ff9c22567c65fd",
+    "649543598fb8752c31ca525d7a7fb3ddd3df9455ed8c01dd4c981418d3acad50",
+    "ccc42f2e5f7ddd5a00a0a6f52b9fc6c56aa56441fca13eb07d5bb587d17efb55",
+    "1036cd1f5022bd87c784b2e128fde5e34d60a1cde976058702f8832571436513",
+    "69b7b6ab2afd0d3ae56388716271e26b08bc5cbbfb909a26d894583d1813d58c",
+    "ee6cd16d950d1305ecc7afd1f395aedf6a9aefd36b90ad927f8253b68dec0801",
+    "499af9e46b60588658a0dc208f307b7a4e579ac7359f1a3088c013af532918a3",
 ]
 
 
