@@ -31,7 +31,7 @@ from .errors import (DimensionMismatch, Infeasible, InfeasibleInstance,
 from .evaluate import (SweepConfig, reports_to_csv, reports_to_json,
                        reports_to_plot_tsv, select_circuit, sweep)
 from .optimize import DeConfig, train_qaoa
-from .sim import NoiseModel
+from .sim import NoiseModel, _integer
 from .transform import (ALL_KINDS, Hamiltonian, TransformKind, apply_transform,
                         to_hamiltonian)
 
@@ -124,17 +124,19 @@ class RunConfig(SweepConfig):
             raise InvalidConfig("either a clause file or both n and bits are required")
         object.__setattr__(self, "noise", _load_noise(self.noise))
         SweepConfig.__post_init__(self)
-        for name, cast in (("n", int), ("bits", int), ("clause_file", str)):
+        for name in ("n", "bits"):
             if getattr(self, name) is not None:
-                object.__setattr__(self, name, cast(getattr(self, name)))
-        object.__setattr__(self, "probe_depth", int(self.probe_depth))
+                object.__setattr__(self, name, _integer(getattr(self, name), name))
+        if self.clause_file is not None:
+            object.__setattr__(self, "clause_file", str(self.clause_file))
+        object.__setattr__(self, "probe_depth", _integer(self.probe_depth, "probe_depth"))
         if self.probe_depth not in (0, 1, 2):
             raise InvalidConfig(f"probe_depth must be 0, 1 or 2, got {self.probe_depth}")
         object.__setattr__(self, "transforms",
                            [k.name for k in _parse_kinds(self.transforms)])
-        object.__setattr__(self, "p_list", [int(p) for p in self.p_list])
+        object.__setattr__(self, "p_list", [_integer(p, "a level p") for p in self.p_list])
         object.__setattr__(self, "levels", [float(i) for i in self.levels])
-        object.__setattr__(self, "qubit_budget", int(self.qubit_budget))
+        object.__setattr__(self, "qubit_budget", _integer(self.qubit_budget, "qubit_budget"))
         object.__setattr__(self, "out_dir", str(self.out_dir))
         if not self.p_list or min(self.p_list) < 1:
             raise InvalidConfig(f"p_list must contain levels >= 1: {self.p_list}")

@@ -25,7 +25,7 @@ from .errors import (DegenerateBaseline, InvalidConfig, NoFeasibleCandidate,
                      ParseError)
 from .optimize import DeConfig, train_qaoa
 from .pboly import BoolPoly, brute_force_minima
-from .sim import (NoiseModel, _seed_tuple, check_width, sample,
+from .sim import (NoiseModel, _integer, _seed_tuple, check_width, sample,
                   success_probability)
 from .transform import (ALL_KINDS, Hamiltonian, TransformKind, apply_transform,
                         to_hamiltonian)
@@ -159,18 +159,19 @@ class SweepConfig:
     reuse_params: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "seeds", _seed_tuple(self.seeds))
         if not self.seeds:
             raise InvalidConfig("at least one seed is required")
-        object.__setattr__(self, "seeds", _seed_tuple(self.seeds))
+        for name in ("train_shots", "report_shots", "max_generations"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        if self.population_size is not None:
+            object.__setattr__(self, "population_size",
+                               _integer(self.population_size, "population_size"))
         if self.train_shots < 1 or self.report_shots < 1:
             raise InvalidConfig("shot counts must be positive")
         self.de_config(1, 0)  # raises now on a DE budget that training would reject
-        for name, cast in (("train_shots", int), ("report_shots", int),
-                           ("max_generations", int), ("tol", float),
-                           ("reuse_params", bool)):
-            object.__setattr__(self, name, cast(getattr(self, name)))
-        if self.population_size is not None:
-            object.__setattr__(self, "population_size", int(self.population_size))
+        object.__setattr__(self, "tol", float(self.tol))
+        object.__setattr__(self, "reuse_params", bool(self.reuse_params))
 
     def replace(self, **kw) -> "SweepConfig":
         return dataclasses.replace(self, **kw)

@@ -29,8 +29,8 @@ import numpy as np
 
 from .circuit import compile_qaoa
 from .errors import InvalidConfig, ParseError
-from .sim import (NoiseModel, _DensityPlan, _noise_active, _sample_noiseless,
-                  _seed_tuple, check_width, estimate_expectation)
+from .sim import (NoiseModel, _DensityPlan, _integer, _noise_active,
+                  _sample_noiseless, _seed_tuple, check_width, estimate_expectation)
 from .transform import Hamiltonian
 
 Seed = Union[int, Sequence[int]]
@@ -59,10 +59,13 @@ class DeConfig:
     seed: Seed = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", _integer(self.dim, "dim"))
         if self.dim < 1:
             raise InvalidConfig(f"dimension must be >= 1, got {self.dim}")
         if self.population_size is None:
             object.__setattr__(self, "population_size", 15 * self.dim)
+        for name in ("population_size", "max_generations"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.population_size < 4:
             raise InvalidConfig(
                 f"population_size must be >= 4 for rand/1/bin, got {self.population_size}")
@@ -78,8 +81,6 @@ class DeConfig:
         lo, hi = float(self.bounds[0]), float(self.bounds[1])
         if not lo < hi:
             raise InvalidConfig(f"bounds must satisfy lower < upper, got [{lo}, {hi}]")
-        for name in ("dim", "population_size", "max_generations"):
-            object.__setattr__(self, name, int(getattr(self, name)))
         for name in ("f", "cr", "tol"):
             object.__setattr__(self, name, float(getattr(self, name)))
         object.__setattr__(self, "bounds", (lo, hi))
@@ -227,6 +228,7 @@ def train_qaoa(h: Hamiltonian, p: int, nm: NoiseModel, m: int = 2048,
     evaluation; there is no separate calibration pass.
     """
     check_width(h.n_qubits, nm)
+    m = _integer(m, "shot count")
     if m < 1:
         raise InvalidConfig(f"shot count must be >= 1, got {m}")
     if cfg is None:

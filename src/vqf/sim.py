@@ -22,8 +22,15 @@ training run holds all but the RZ/RX angles: the schedule, the blocks and
 their fixed gates' maps, and the gathers.  A generation then only builds
 its angle gates' maps, composes its blocks and evolves its rows.
 
-Shot j draws its uniform from a counter-keyed substream, so the result is
-a deterministic function of (circuit, noise model, shot count, seed).
+Shot j of a draw under seed tuple s reads uniform j % 256 of substream
+(*s, j // 256, 1), so the result is a deterministic function of (circuit,
+noise model, shot count, seed), and shot j reads the same uniform
+whatever the shot count.  Many draws share substreams: training seeds
+generation g's member i with (*seed, g, i) whatever the transform kind,
+depth or noise level, and every report draw of a sweep seed uses
+(seed, `evaluate._EVAL_SALT`).  So each substream's seeded state is built
+once per process, in a bounded cache (`_stream_state`), and set on one
+scratch generator per thread before the block is filled.
 
 A measured outcome is a basis index (bit k is qubit k) from sampling
 through scoring, solution sets included.  Only `SampleSet.counts` writes
@@ -35,6 +42,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import threading
 from dataclasses import dataclass
 from math import cos, exp, sin, sqrt
 from typing import (Collection, Dict, Iterator, List, Optional, Sequence, Set, Tuple,
@@ -71,10 +79,22 @@ Seed = Union[int, Sequence[int]]
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
 
+def _integer(value, what: str) -> int:
+    """`value` as an int: an int, or a float with an integral value (so
+    2.0 means 2).  Anything else, a bool included, raises InvalidConfig."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise InvalidConfig(f"{what} must be an integer, got {value!r}")
+
+
 def _seed_tuple(seed: Seed) -> Tuple[int, ...]:
-    if isinstance(seed, (int, np.integer)):
+    try:
+        seed = tuple(seed)
+    except TypeError:
         seed = (seed,)
-    out = tuple(int(s) for s in seed)
+    out = tuple(_integer(s, "a seed") for s in seed)
     if any(s < 0 for s in out):
         raise InvalidConfig(f"seeds must be nonnegative, got {out}")
     return out
@@ -326,20 +346,40 @@ def _bound_states(circuit: ParamCircuit, X: np.ndarray) -> Iterator[np.ndarray]:
         yield from _evolve(n, circuit.gates, factors, len(chunk))
 
 
-def _block_rows(block: int, m: int) -> int:
-    return min(SHOT_BLOCK, m - block * SHOT_BLOCK)
+@functools.lru_cache(maxsize=1 << 14)
+def _stream_state(key: Tuple[int, ...]) -> Tuple[int, int]:
+    """The seeded PCG64 (state, inc) of substream (*key, 1), as
+    `np.random.default_rng([*key, 1])` starts it.  An entry holds about
+    350 bytes, so a full cache about 6 MB."""
+    state = np.random.PCG64([*key, 1]).state["state"]
+    return state["state"], state["inc"]
+
+
+_SCRATCH = threading.local()
 
 
 def _draw(probs: np.ndarray, m: int, seed_t: Tuple[int, ...]) -> np.ndarray:
     """m basis indices by inverse CDF over the unnormalized `probs`.
 
-    Shot j's uniform comes from substream (*seed, j // 256, 1), so shot j
-    reads the same uniform whatever m is.
+    Shot j's uniform is uniform j % 256 of substream (*seed_t, j // 256, 1),
+    so shot j reads the same uniform whatever m is.  Draws under one seed
+    tuple share these substreams: one DE slot's draws for every kind,
+    depth and noise level, or every report draw of a seed.  So each block
+    takes its seeded state from `_stream_state`, a bounded per-process
+    cache, and sets it on this thread's scratch generator, built on the
+    thread's first draw, which then fills the block's uniforms.
     """
+    gen = getattr(_SCRATCH, "gen", None)
+    if gen is None:
+        gen = _SCRATCH.gen = np.random.Generator(np.random.PCG64(0))
     cum = np.cumsum(probs)
-    u = np.concatenate([
-        np.random.default_rng([*seed_t, block, 1]).random(_block_rows(block, m))
-        for block in range((m + SHOT_BLOCK - 1) // SHOT_BLOCK)])
+    u = np.empty(m)
+    for block, start in enumerate(range(0, m, SHOT_BLOCK)):
+        state, inc = _stream_state((*seed_t, block))
+        gen.bit_generator.state = {"bit_generator": "PCG64",
+                                   "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+        gen.random(out=u[start:start + SHOT_BLOCK])
     return np.minimum(np.searchsorted(cum, u * cum[-1], side="right"),
                       probs.size - 1)
 
@@ -702,15 +742,17 @@ def sample(circuit: BoundCircuit, nm: NoiseModel, m: int, seed: Seed) -> SampleS
     result is a deterministic function of (circuit, nm, m, seed).
     """
     check_width(circuit.n_qubits, nm)
+    m = _integer(m, "shot count")
     if m < 1:
         raise InvalidConfig(f"shot count must be >= 1, got {m}")
+    seed_t = _seed_tuple(seed)
     if any(_noise_active(nm)):
         # diag(rho) in basis-index order; clip rounding below zero
         probs = np.maximum(_evolve_density(circuit, nm), 0.0)
     else:
         state = simulate_statevector(circuit)
         probs = state.real ** 2 + state.imag ** 2
-    return _shots(probs, circuit.n_qubits, m, _seed_tuple(seed))
+    return _shots(probs, circuit.n_qubits, m, seed_t)
 
 
 def _sample_noiseless(circuit: ParamCircuit, X: np.ndarray, m: int,
@@ -723,8 +765,9 @@ def _sample_noiseless(circuit: ParamCircuit, X: np.ndarray, m: int,
 
 
 def _shots(probs: np.ndarray, n: int, m: int, seed_t: Tuple[int, ...]) -> SampleSet:
-    values, counts = np.unique(_draw(probs, m, seed_t), return_counts=True)
-    return SampleSet(n, values, counts, m)
+    counts = np.bincount(_draw(probs, m, seed_t))
+    index = np.flatnonzero(counts)
+    return SampleSet(n, index, counts[index], m)
 
 
 def estimate_expectation(samples: SampleSet, energies: np.ndarray) -> float:

@@ -171,6 +171,8 @@ def test_sweep_config_validation():
     de = cfg.de_config(2, 7)
     assert de.dim == 4 and de.population_size == 10
     assert de.max_generations == 5 and de.seed == (7,)
+    # a scalar seed is one replicate, 0 included ("at least one seed" before)
+    assert SweepConfig(seeds=0).seeds == (0,) and SweepConfig(seeds=3).seeds == (3,)
 
 
 def _tiny_cfg(**kw):

@@ -30,6 +30,8 @@ def test_de_config_defaults():
     {"cr": -0.1}, {"cr": 1.1}, {"max_generations": 0}, {"tol": -1e-6},
     {"bounds": (1.0, 1.0)}, {"bounds": (2.0, 1.0)}, {"seed": -1}, {"seed": (3, -4)},
     {"tol": float("nan")},  # DE could never stop on tol
+    # int() used to truncate these: 6.9 ran a population of 6
+    {"population_size": 6.9}, {"max_generations": 2.5}, {"dim": True}, {"seed": 1.5},
 ])
 def test_de_config_rejects(kw):
     base = {"dim": 2}
@@ -180,6 +182,15 @@ def test_train_qaoa_validates_dimensions():
     with pytest.raises(InvalidConfig):
         train_qaoa(h, 2, NoiseModel().with_scale(0.0), 64,
                    DeConfig(dim=2))  # p=2 needs dim 4
+
+
+@pytest.mark.parametrize("m", [2.5, True, "64"])
+def test_train_qaoa_rejects_non_integral_shot_counts(m):
+    h = to_hamiltonian(parse_poly("1 - p1 - q1 + 2*p1*q1"))
+    cfg = DeConfig(dim=2, population_size=4, max_generations=1)
+    for nm in (NoiseModel().with_scale(0.0), NoiseModel()):
+        with pytest.raises(InvalidConfig):
+            train_qaoa(h, 1, nm, m, cfg)
 
 
 def test_train_qaoa_beats_uniform_mean_noiseless(system_143):

@@ -21,6 +21,7 @@ import pytest
 import vqf.sim as sim
 from vqf.circuit import BoundCircuit, Gate, ParamCircuit, compile_qaoa
 from vqf.errors import InvalidConfig, ParseError, TooManyQubits
+from vqf.evaluate import _EVAL_SALT
 from vqf.pboly import parse_poly, pvar, qvar
 from vqf.sim import (
     NoiseModel,
@@ -258,6 +259,46 @@ def test_noiseless_sampling_matches_manual_stream():
     assert got.counts == want
 
 
+def _written_out_draw(probs, m, seed):
+    """`sim._draw` as one fresh generator per 256-shot block."""
+    cum = np.cumsum(probs)
+    u = np.concatenate([
+        np.random.default_rng([*seed, b, 1]).random(min(256, m - 256 * b))
+        for b in range(-(-m // 256))])
+    return np.minimum(np.searchsorted(cum, u * cum[-1], side="right"), probs.size - 1)
+
+
+@pytest.mark.parametrize("m", [1, 255, 256, 257, 600, 8192])
+def test_draw_equals_fresh_streams_with_cold_warm_and_cleared_cache(m):
+    # each substream's seeded state is cached per process; the cache must
+    # never change a uniform, whether it holds the state or not
+    probs = np.random.default_rng(m).random(32)
+    probs[[0, 5, 6, 31]] = 0.0
+    seeds = [(3,), (11, 4), (7, _EVAL_SALT), (7, 2, 5)]
+    want = [_written_out_draw(probs, m, seed) for seed in seeds]
+    sim._stream_state.cache_clear()
+    for _ in ("cold", "warm"):
+        for seed, w in zip(seeds, want):
+            assert np.array_equal(sim._draw(probs, m, seed), w)
+    blocks = -(-m // 256)
+    info = sim._stream_state.cache_info()
+    assert (info.misses, info.hits) == (4 * blocks, 4 * blocks)
+    assert info.maxsize is not None  # bounded
+    sim._stream_state.cache_clear()
+    for seed, w in zip(seeds, want):
+        assert np.array_equal(sim._draw(probs, m, seed), w)
+
+
+@pytest.mark.parametrize("m", [1, 7, 600])
+def test_shots_count_like_unique(m):
+    probs = np.array([0.0, 0.3, 0.0, 0.0, 0.5, 0.2, 0.0, 0.0])
+    got = sim._shots(probs, 3, m, (9,))
+    values, counts = np.unique(sim._draw(probs, m, (9,)), return_counts=True)
+    assert got.index.tolist() == values.tolist()
+    assert got.count.tolist() == counts.tolist()
+    assert got.total == m
+
+
 def test_sampling_rejects_zero_shots():
     bound = BoundCircuit(1, [Gate("H", (0,))])
     with pytest.raises(InvalidConfig):
@@ -271,6 +312,26 @@ def test_sampling_rejects_negative_seeds(seed):
     for nm in (QUIET, NoiseModel()):
         with pytest.raises(InvalidConfig):
             sample(bound, nm, 4, seed)
+
+
+@pytest.mark.parametrize("m, seed", [(10.5, 0), (True, 0), ("8", 0), (8, 1.5),
+                                     (8, True), (8, (2, 1.5)), (8, "7")],
+                         ids=["shots-float", "shots-bool", "shots-str", "seed-float",
+                              "seed-bool", "seed-tuple-float", "seed-str"])
+def test_sampling_rejects_non_integral_shots_and_seeds(m, seed):
+    # a float shot count used to raise a bare TypeError and True drew one
+    # shot; a float seed raised "'float' object is not iterable"
+    bound = BoundCircuit(1, [Gate("H", (0,))])
+    for nm in (QUIET, NoiseModel()):
+        with pytest.raises(InvalidConfig):
+            sample(bound, nm, m, seed)
+
+
+def test_sampling_takes_integral_floats_as_integers():
+    bound = BoundCircuit(2, [Gate("H", (0,)), Gate("CNOT", (0, 1))])
+    a, b = sample(bound, QUIET, 300.0, (4.0, 2)), sample(bound, QUIET, 300, (4, 2))
+    assert (a.total, a.index.tolist(), a.count.tolist()) == \
+        (b.total, b.index.tolist(), b.count.tolist())
 
 
 def _noisy_test_circuit():
@@ -815,6 +876,13 @@ def test_no_map_is_cached_at_import():
     _run_python("import vqf.cli, vqf.sim as s\n"
                 "assert not s._fixed_map.cache_info().currsize\n"
                 "assert not s._channel_map.cache_info().currsize")
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # the scratch generator is built on the first draw, so a process that
+    # never samples, such as a dry run, does not load numpy.random
+    _run_python("import sys, vqf.cli\n"
+                "assert 'numpy.random' not in sys.modules")
 
 
 # -- estimators ----------------------------------------------------------------------

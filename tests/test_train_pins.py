@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+import vqf.sim as sim
 from vqf.encoder import FactoringInstance, build_clauses, load_clause_file, preprocess
 from vqf.evaluate import SweepConfig, reports_to_json, sweep
 from vqf.optimize import DeConfig, train_qaoa
@@ -241,6 +242,24 @@ def test_noisy_training_is_pinned(instance, kind_name, p, model):
     res = train_qaoa(_hamiltonian(instance, kind_name), p, _NOISE_MODELS[model], 256, cfg)
     digest = hashlib.sha256(res.to_json().encode()).hexdigest()
     assert digest == _NOISY_TRAINING[instance, kind_name, p, model]
+
+
+def test_quickstart_training_does_not_depend_on_the_stream_cache():
+    # every kind trains at one DE seed from the same shot substreams, so
+    # one kind's run leaves the next one's seeded states cached
+    cfg = DeConfig(dim=2, population_size=10, max_generations=15, seed=(0,))
+
+    def train(kind_name):
+        return train_qaoa(_hamiltonian("143", kind_name), 1, _NOISELESS, 512, cfg).to_json()
+
+    sim._stream_state.cache_clear()
+    cold = train("GROBNER")
+    sim._stream_state.cache_clear()
+    train("DIRECT")
+    hits = sim._stream_state.cache_info().hits
+    warm = train("GROBNER")
+    assert sim._stream_state.cache_info().hits > hits
+    assert warm == cold
 
 
 _TRAIN_CHILD = """
