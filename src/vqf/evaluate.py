@@ -25,8 +25,8 @@ from .errors import (DegenerateBaseline, InvalidConfig, NoFeasibleCandidate,
                      ParseError)
 from .optimize import DeConfig, train_qaoa
 from .pboly import BoolPoly, brute_force_minima
-from .sim import (NoiseModel, _integer, _seed_tuple, check_width, sample,
-                  success_probability)
+from .sim import (NoiseModel, _boolean, _distributions, _integer, _seed_tuple, _shots,
+                  check_width, success_probability)
 from .transform import (ALL_KINDS, Hamiltonian, TransformKind, apply_transform,
                         to_hamiltonian)
 
@@ -171,7 +171,7 @@ class SweepConfig:
             raise InvalidConfig("shot counts must be positive")
         self.de_config(1, 0)  # raises now on a DE budget that training would reject
         object.__setattr__(self, "tol", float(self.tol))
-        object.__setattr__(self, "reuse_params", bool(self.reuse_params))
+        object.__setattr__(self, "reuse_params", _boolean(self.reuse_params, "reuse_params"))
 
     def replace(self, **kw) -> "SweepConfig":
         return dataclasses.replace(self, **kw)
@@ -206,8 +206,8 @@ def sweep(instance: Instance, transformations: Sequence[TransformKind],
 
     For each (transform, p, seed) the i = 0 run fixes the baseline
     m_0p, so its own report row carries G = 1 exactly.  Levels above
-    zero either retrain under that noise (default) or rebind the
-    noiseless parameters (cfg.reuse_params).  Rows come back sorted by
+    zero either retrain under that noise (default) or score the
+    noiseless parameters again (cfg.reuse_params).  Rows come back sorted by
     (transform, p, i, seed) no matter the requested order.
     """
     if cfg is None:
@@ -234,13 +234,15 @@ def sweep(instance: Instance, transformations: Sequence[TransformKind],
         for p in p_list:
             circuit = compile_qaoa(h, p)
             st = stats(circuit)
+            # one exact-distribution seam per level, shared by every seed
+            dists = {i: _distributions(circuit, noise[i]) for i in levels}
             for seed in cfg.seeds:
                 de_cfg = cfg.de_config(p, seed)
                 eval_seed = (seed, _EVAL_SALT)
 
                 def measure(params, scale):
-                    bound = circuit.bind(params[:p], params[p:])
-                    shots = sample(bound, noise[scale], cfg.report_shots, eval_seed)
+                    probs = next(dists[scale](params[None]))
+                    shots = _shots(probs, h.n_qubits, cfg.report_shots, eval_seed)
                     return success_probability(shots, solutions)
 
                 base = train_qaoa(h, p, noise[0.0], cfg.train_shots, de_cfg)

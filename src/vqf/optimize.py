@@ -9,11 +9,10 @@ then deterministic and regression-testable, at the price of a small
 frozen shot-noise bias.
 
 DE draws every decision of a generation before it scores any candidate,
-so a generation is scored as one trial matrix.  Its candidates evolve
-together, without noise in one batched statevector pass and under noise
-from one density plan built per training run (`sim._DensityPlan`).  Each
-still draws its shots from its own slot's seed, so the result is bit for
-bit that of binding and sampling them one at a time.
+so a generation is scored as one trial matrix.  Its candidates get their
+exact output distributions together, from one `sim._distributions` built
+per training run, and each draws its shots from its own slot's seed, so
+the result is bit for bit that of binding and sampling them one at a time.
 """
 
 from __future__ import annotations
@@ -29,8 +28,8 @@ import numpy as np
 
 from .circuit import compile_qaoa
 from .errors import InvalidConfig, ParseError
-from .sim import (NoiseModel, _DensityPlan, _integer, _noise_active,
-                  _sample_noiseless, _seed_tuple, check_width, estimate_expectation)
+from .sim import (NoiseModel, _distributions, _integer, _seed_tuple, _shots,
+                  estimate_expectation)
 from .transform import Hamiltonian
 
 Seed = Union[int, Sequence[int]]
@@ -222,12 +221,10 @@ def train_qaoa(h: Hamiltonian, p: int, nm: NoiseModel, m: int = 2048,
     candidate is scored by sampling m shots under nm with the seed
     (cfg.seed, generation, member) and averaging h's diagonal over the
     sampled basis indices.  A generation's candidates evolve together,
-    unbound: without active noise in one batched statevector pass, under
-    noise from one `_DensityPlan` built for the whole run.  Training
-    runs under the same noise configuration used for any later
+    unbound, through one `sim._distributions` built for the whole run.
+    Training runs under the same noise configuration used for any later
     evaluation; there is no separate calibration pass.
     """
-    check_width(h.n_qubits, nm)
     m = _integer(m, "shot count")
     if m < 1:
         raise InvalidConfig(f"shot count must be >= 1, got {m}")
@@ -237,17 +234,13 @@ def train_qaoa(h: Hamiltonian, p: int, nm: NoiseModel, m: int = 2048,
         raise InvalidConfig(
             f"cfg.dim = {cfg.dim} but level p = {p} needs {2 * p} parameters")
 
-    circuit = compile_qaoa(h, p)
+    distributions = _distributions(compile_qaoa(h, p), nm)
     energies = h.diagonal()
     base = cfg.seed
-    plan = _DensityPlan(circuit, nm) if any(_noise_active(nm)) else None
 
     def score(X, gen):
-        seeds = [(*base, gen, i) for i in range(len(X))]
-        if plan is not None:
-            shots = plan.sample(X, m, seeds)
-        else:
-            shots = _sample_noiseless(circuit, X, m, seeds)
+        shots = (_shots(probs, h.n_qubits, m, (*base, gen, i))
+                 for i, probs in enumerate(distributions(X)))
         return np.array([estimate_expectation(s, energies) for s in shots])
 
     return _de(score, cfg)

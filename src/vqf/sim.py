@@ -2,8 +2,8 @@
 
 After every gate the same channels act on its qubits: depolarizing noise,
 then amplitude damping and pure dephasing on each participating qubit.
-With any of them active, `sample` evolves the density matrix rho exactly
-and draws every shot from diag(rho).  rho is held as real coordinates in
+With any of them active, the density matrix rho is evolved exactly and
+every shot drawn from diag(rho).  rho is held as real coordinates in
 the Hermitian operator basis E00, E11, E01 + E10, i(E01 - E10) of each
 qubit.  Every gate and channel is a real map of these coordinates, 4 x 4
 on one qubit and 16 x 16 on two: RZ and RX in closed form per angle, H,
@@ -15,12 +15,14 @@ joins at its first gate, still E00, and after its last gate keeps only
 E00 and E11.  Noisy simulation stops at 11 qubits (`_MAX_NOISY_QUBITS`).
 Without noise, one statevector pass serves up to 24 qubits.
 
-Training evolves a generation of candidates together, bit for bit as if
-each were bound and sampled alone.  Without noise each is one row of a
-(rows, 2^n) statevector array.  Under noise one `_DensityPlan` per
-training run holds all but the RZ/RX angles: the schedule, the blocks and
-their fixed gates' maps, and the gathers.  A generation then only builds
-its angle gates' maps, composes its blocks and evolves its rows.
+One function picks the engine: `_distributions(circuit, nm)` maps each
+row of an angle matrix to its exact output distribution, |psi|^2 without
+active noise, else diag(rho), bit for bit as if the row were bound alone.
+Without noise the rows are one (rows, 2^n) statevector array.  Under
+noise one `_DensityPlan` per seam holds all but the RZ/RX angles: the
+schedule, the blocks and their fixed gates' maps, and the gathers.  A
+call then only builds its angle gates' maps, composes its blocks and
+evolves its rows.
 
 Shot j of a draw under seed tuple s reads uniform j % 256 of substream
 (*s, j // 256, 1), so the result is a deterministic function of (circuit,
@@ -45,8 +47,8 @@ import json
 import threading
 from dataclasses import dataclass
 from math import cos, exp, sin, sqrt
-from typing import (Collection, Dict, Iterator, List, Optional, Sequence, Set, Tuple,
-                    Union)
+from typing import (Callable, Collection, Dict, Iterator, List, Optional, Sequence,
+                    Set, Tuple, Union)
 
 import numpy as np
 
@@ -87,6 +89,13 @@ def _integer(value, what: str) -> int:
     if isinstance(value, (float, np.floating)) and float(value).is_integer():
         return int(value)
     raise InvalidConfig(f"{what} must be an integer, got {value!r}")
+
+
+def _boolean(value, what: str) -> bool:
+    """`value`, a bool or numpy bool, as a bool; else InvalidConfig."""
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    raise InvalidConfig(f"{what} must be true or false, got {value!r}")
 
 
 def _seed_tuple(seed: Seed) -> Tuple[int, ...]:
@@ -139,7 +148,7 @@ class NoiseModel:
         for name in ("p1", "p2", "t1_us", "t2_us", "dur1_ns", "dur2_ns", "scale"):
             object.__setattr__(self, name, float(getattr(self, name)))
         for name in ("gate_noise_on", "decoherence_on"):
-            object.__setattr__(self, name, bool(getattr(self, name)))
+            object.__setattr__(self, name, _boolean(getattr(self, name), name))
 
     def replace(self, **kw) -> "NoiseModel":
         return dataclasses.replace(self, **kw)
@@ -278,16 +287,6 @@ def _apply_unitary(states: np.ndarray, n: int, g: Gate, factors=None) -> None:
         s1 += f1 * tmp
 
 
-def _evolve(n: int, gates: Sequence[Gate], factors: Sequence, rows: int = 1) -> np.ndarray:
-    """Final states, shape (rows, 2^n), of `gates` applied to |0...0> in
-    every row; factors[j] is gate j's `factors` for `_apply_unitary`."""
-    states = np.zeros((rows, 1 << n), dtype=np.complex128)
-    states[:, 0] = 1.0
-    for g, f in zip(gates, factors):
-        _apply_unitary(states, n, g, f)
-    return states
-
-
 def _noise_active(nm: NoiseModel) -> Tuple[bool, bool]:
     gate = nm.gate_noise_on and nm.scale > 0 and (nm.p1 > 0 or nm.p2 > 0)
     deco = nm.decoherence_on and nm.scale > 0 and (
@@ -315,20 +314,22 @@ def check_width(n_qubits: int, nm: Optional[NoiseModel] = None) -> None:
 def simulate_statevector(circuit: BoundCircuit) -> np.ndarray:
     """Exact noiseless final state (2^n complex amplitudes)."""
     check_width(circuit.n_qubits)
-    return _evolve(circuit.n_qubits, circuit.gates, [None] * len(circuit.gates))[0]
+    return next(_bound_states(circuit, np.empty((1, 0))))
 
 
-def _bound_states(circuit: ParamCircuit, X: np.ndarray) -> Iterator[np.ndarray]:
+def _bound_states(circuit: Union[ParamCircuit, BoundCircuit],
+                  X: np.ndarray) -> Iterator[np.ndarray]:
     """The final state of `circuit` bound to each row of X, in row order.
 
     A row is (gamma_1..gamma_p, beta_1..beta_p), and each angle is
     scale * float(row entry), as `bind` computes it, so every state is
-    bit for bit `simulate_statevector(bind(...))`.  Rows evolve together,
-    at most `_BATCH_AMPS` amplitudes at a time (one row once 2^n reaches
+    bit for bit `simulate_statevector(bind(...))`; a `BoundCircuit` has
+    no parameters and evolves one empty row.  Rows evolve together, at
+    most `_BATCH_AMPS` amplitudes at a time (one row once 2^n reaches
     it), and each distinct (kind, param) takes one `_rotation` per row.
     """
     n = circuit.n_qubits
-    first = {"gamma": 0, "beta": circuit.p}
+    first = {"gamma": 0, "beta": getattr(circuit, "p", 0)}
     step = max(1, _BATCH_AMPS >> n)
     for start in range(0, len(X), step):
         chunk = X[start:start + step]
@@ -343,7 +344,11 @@ def _bound_states(circuit: ParamCircuit, X: np.ndarray) -> Iterator[np.ndarray]:
                 pairs[key] = tuple(np.array(f, dtype=np.complex128).reshape(-1, 1, 1)
                                    for f in zip(*rows))
             factors.append(pairs.get(key))
-        yield from _evolve(n, circuit.gates, factors, len(chunk))
+        states = np.zeros((len(chunk), 1 << n), dtype=np.complex128)
+        states[:, 0] = 1.0
+        for g, f in zip(circuit.gates, factors):
+            _apply_unitary(states, n, g, f)
+        yield from states
 
 
 @functools.lru_cache(maxsize=1 << 14)
@@ -587,7 +592,7 @@ class _DensityPlan:
 
     def __init__(self, circuit: Union[ParamCircuit, BoundCircuit], nm: NoiseModel,
                  keep: Sequence[int] = ()):
-        n = self.n_qubits = circuit.n_qubits
+        n = circuit.n_qubits
         gates = circuit.gates
         keep = set(keep)
         runs = _fuse(gates, _schedule(gates))
@@ -716,14 +721,6 @@ class _DensityPlan:
                       .transpose(self._final))
             yield from out
 
-    def sample(self, X: np.ndarray, m: int,
-               seeds: Sequence[Tuple[int, ...]]) -> Iterator[SampleSet]:
-        """For each row x of X and its seed, what `sample` gives for the
-        circuit bound to x, bit for bit."""
-        for coords, seed in zip(self.evolve(X), seeds):
-            # diag(rho) in basis-index order; clip rounding below zero
-            yield _shots(np.maximum(coords, 0.0), self.n_qubits, m, seed)
-
 
 def _evolve_density(circuit: BoundCircuit, nm: NoiseModel,
                     keep: Sequence[int] = ()) -> np.ndarray:
@@ -733,35 +730,35 @@ def _evolve_density(circuit: BoundCircuit, nm: NoiseModel,
     return next(_DensityPlan(circuit, nm, keep).evolve(np.empty((1, 0))))
 
 
+def _distributions(circuit: Union[ParamCircuit, BoundCircuit], nm: NoiseModel
+                   ) -> Callable[[np.ndarray], Iterator[np.ndarray]]:
+    """A function giving, for each row of an angle matrix X, the exact
+    output distribution of `circuit` bound to it under `nm`: |psi|^2
+    without active noise, else diag(rho).  The one place that picks the
+    engine; it checks the width and builds the density plan once."""
+    check_width(circuit.n_qubits, nm)
+    if not any(_noise_active(nm)):
+        return lambda X: (state.real ** 2 + state.imag ** 2
+                          for state in _bound_states(circuit, X))
+    plan = _DensityPlan(circuit, nm)
+    # diag(rho) in basis-index order; clip rounding below zero
+    return lambda X: (np.maximum(coords, 0.0) for coords in plan.evolve(X))
+
+
 def sample(circuit: BoundCircuit, nm: NoiseModel, m: int, seed: Seed) -> SampleSet:
     """M i.i.d. shots of the circuit under noise model `nm`, measured once each.
 
-    With no active noise the shots come from one exact statevector, else
-    from the diagonal of the exact density matrix (`_evolve_density`,
-    up to 11 qubits); `_draw` draws them the same way in both cases.  The
-    result is a deterministic function of (circuit, nm, m, seed).
+    The shots come from the circuit's one row of `_distributions`: one
+    exact statevector with no active noise, else the diagonal of the exact
+    density matrix (up to 11 qubits).  The result is a deterministic
+    function of (circuit, nm, m, seed).
     """
-    check_width(circuit.n_qubits, nm)
+    distributions = _distributions(circuit, nm)
     m = _integer(m, "shot count")
     if m < 1:
         raise InvalidConfig(f"shot count must be >= 1, got {m}")
     seed_t = _seed_tuple(seed)
-    if any(_noise_active(nm)):
-        # diag(rho) in basis-index order; clip rounding below zero
-        probs = np.maximum(_evolve_density(circuit, nm), 0.0)
-    else:
-        state = simulate_statevector(circuit)
-        probs = state.real ** 2 + state.imag ** 2
-    return _shots(probs, circuit.n_qubits, m, seed_t)
-
-
-def _sample_noiseless(circuit: ParamCircuit, X: np.ndarray, m: int,
-                      seeds: Sequence[Tuple[int, ...]]) -> Iterator[SampleSet]:
-    """For each row x of X and its seed, what `sample` gives for `circuit`
-    bound to x (gammas first, then betas) with no noise active, bit for
-    bit, but with no `bind` call and all rows evolved together."""
-    for state, seed in zip(_bound_states(circuit, X), seeds):
-        yield _shots(state.real ** 2 + state.imag ** 2, circuit.n_qubits, m, seed)
+    return _shots(next(distributions(np.empty((1, 0)))), circuit.n_qubits, m, seed_t)
 
 
 def _shots(probs: np.ndarray, n: int, m: int, seed_t: Tuple[int, ...]) -> SampleSet:

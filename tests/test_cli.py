@@ -264,17 +264,23 @@ _SWEEP_291311 = ("sweep", "--clauses", str(_BENCH_291311))
     (_DRY_RUN_143, [], {"p_list": [1.5]}),
     (_DRY_RUN_143, [], {"qubit_budget": 16.5}),
     (_DRY_RUN_143, [], {"probe_depth": True}),
+    (_DRY_RUN_143, [], {"reuse_params": "false"}),
+    (_DRY_RUN_143, [], {"reuse_params": 1}),
+    (_DRY_RUN_143, [], {"noise": {"gate_noise_on": "false"}}),
+    (_DRY_RUN_143, [], {"noise": {"decoherence_on": 0}}),
 ], ids=["train-shots-0", "population-2", "generations-0", "level-neg",
         "level-above-1", "no-seeds", "no-levels", "probe-depth-9",
         "sweep-probe-depth-9", "seed-neg", "pipeline-seed-neg", "sweep-seed-neg",
         "train-shots-float", "report-shots-bool", "seed-float", "seed-bool",
         "population-float", "generations-float", "p-float", "budget-float",
-        "probe-depth-bool"])
+        "probe-depth-bool", "reuse-params-str", "reuse-params-int",
+        "gate-noise-str", "decoherence-int"])
 def test_bad_sweep_settings_fail_before_any_artifact(workdir, command, flags, doc):
     # a dry run never sweeps, so only the config itself can reject these;
     # a negative seed used to pass it, and the full pipeline wrote its
     # clauses, Hamiltonians, stats and selection before training failed;
-    # int() truncated a non-integral count, so "train_shots": 2.5 ran 2
+    # int() truncated a non-integral count, so "train_shots": 2.5 ran 2;
+    # bool("false") is True, so "reuse_params": "false" ran a reuse sweep
     assert run(*command, "--out", str(workdir / "out"), *flags,
                *_config_flag(workdir, doc)) == EXIT_CONFIG
     assert not (workdir / "out").exists()

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import vqf.sim as sim
 from vqf.circuit import CircuitStats, compile_qaoa, stats
 from vqf.encoder import (FactoringInstance, build_clauses, decode_factors,
                          load_clause_file, make_random_clause_system,
@@ -277,11 +278,29 @@ def test_noisy_train_sweep_report_is_pinned():
 
 
 def test_sweep_reuse_params_mode(system_143):
-    # reuse mode rebinds the i=0 angles, so every level shares m_0p
+    # reuse mode scores the i=0 angles at every level, so they share m_0p
     cfg = _tiny_cfg(reuse_params=True)
     reports = sweep(system_143, [DIRECT], [1], [0.0, 0.5, 1.0], cfg)
     m0 = {r.m_0p for r in reports}
     assert len(m0) == 1
+
+
+def test_reuse_params_sweep_builds_one_report_plan_per_level(monkeypatch, system_143):
+    # training runs noiseless here, so every density plan is a report
+    # plan, and both seeds score from the one of their (kind, p, level)
+    built = []
+
+    class Counted(sim._DensityPlan):
+        def __init__(self, circuit, nm, keep=()):
+            built.append((circuit.n_qubits, circuit.p, nm.scale))
+            super().__init__(circuit, nm, keep)
+
+    monkeypatch.setattr(sim, "_DensityPlan", Counted)
+    cfg = _tiny_cfg(seeds=(0, 1), reuse_params=True)
+    reports = sweep(system_143, [DIRECT, SCHALLER], [1, 2], [0.0, 0.5, 1.0], cfg)
+    assert len(reports) == 2 * 2 * 3 * 2
+    assert sorted(built) == sorted((4, p, i) for _kind in range(2) for p in (1, 2)
+                                   for i in (0.5, 1.0))
 
 
 def test_masking_experiment_structure(system_143):

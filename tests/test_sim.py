@@ -91,6 +91,7 @@ def test_noise_model_defaults():
     {"p1": -0.1}, {"p2": 1.5}, {"scale": -0.2}, {"scale": 1.2},
     {"t1_us": 0.0}, {"t2_us": -1.0}, {"dur1_ns": -5.0},
     {"t1_us": 10.0, "t2_us": 25.0},  # t2 > 2*t1
+    {"gate_noise_on": "false"}, {"decoherence_on": 0},  # bool("false") is True
 ])
 def test_noise_model_rejects(kw):
     with pytest.raises(InvalidConfig):
@@ -124,8 +125,8 @@ def test_dephase_prob_formula():
 def test_noise_model_replace_and_scale():
     nm = NoiseModel().with_scale(0.3)
     assert nm.scale == 0.3
-    off = nm.replace(gate_noise_on=False)
-    assert not off.gate_noise_on and off.scale == 0.3
+    off = nm.replace(gate_noise_on=np.bool_(False))
+    assert off.gate_noise_on is False and off.scale == 0.3
     with pytest.raises(AttributeError):
         nm.p1 = 0.5
 
@@ -136,6 +137,8 @@ def test_noise_model_json_round_trip():
     assert back.to_json() == nm.to_json()
     with pytest.raises(ParseError):
         NoiseModel.from_json('{"p1": "many"}')
+    with pytest.raises(InvalidConfig):
+        NoiseModel.from_json('{"gate_noise_on": "false"}')
 
 
 # -- sample sets ------------------------------------------------------------------
@@ -441,16 +444,6 @@ def test_batched_states_cross_chunk_boundaries(system_143, monkeypatch, rows_per
     circuit = compile_qaoa(to_hamiltonian(apply_transform(system_143, DIRECT)[0]), 2)
     monkeypatch.setattr(sim, "_BATCH_AMPS", rows_per_chunk << circuit.n_qubits)
     _assert_rows_equal_bound(circuit, _candidates(2, 6, 8))
-
-
-def test_batched_noiseless_samples_equal_sample(system_143):
-    circuit = compile_qaoa(to_hamiltonian(apply_transform(system_143, SCHALLER)[0]), 1)
-    X = _candidates(1, 5, 2)
-    seeds = [(7, 3, i) for i in range(len(X))]
-    for x, seed, got in zip(X, seeds, sim._sample_noiseless(circuit, X, 300, seeds)):
-        want = sample(circuit.bind(x[:1], x[1:]), QUIET, 300, seed)
-        assert got.index.tolist() == want.index.tolist()
-        assert got.count.tolist() == want.count.tolist()
 
 
 # -- channel oracles --------------------------------------------------------------------
@@ -809,13 +802,21 @@ def test_bound_density_equals_reference_bytes(circuit, arm):
         assert sim._evolve_density(circuit, _ARMS[arm], keep).tobytes() == want.tobytes()
 
 
-def test_batched_density_samples_equal_sample(system_143):
-    circuit = compile_qaoa(to_hamiltonian(apply_transform(system_143, GROBNER)[0]), 1)
+@pytest.mark.parametrize("nm, kind", [(QUIET, SCHALLER), (NoiseModel(), GROBNER)],
+                         ids=["quiet", "noisy"])
+def test_distribution_rows_sample_as_bound_circuits(system_143, nm, kind):
+    # each row of the seam draws the shots of its bound circuit, and the
+    # bound circuit's one empty row holds the same bytes
+    circuit = compile_qaoa(to_hamiltonian(apply_transform(system_143, kind)[0]), 1)
     X = _candidates(1, 5, 2)
-    seeds = [(7, 3, i) for i in range(len(X))]
-    nm = NoiseModel()
-    for x, seed, got in zip(X, seeds, sim._DensityPlan(circuit, nm).sample(X, 300, seeds)):
-        want = sample(circuit.bind(x[:1], x[1:]), nm, 300, seed)
+    rows = list(sim._distributions(circuit, nm)(X))
+    assert len(rows) == len(X)
+    for i, (x, probs) in enumerate(zip(X, rows)):
+        bound = circuit.bind(x[:1], x[1:])
+        alone = list(sim._distributions(bound, nm)(np.empty((1, 0))))
+        assert len(alone) == 1 and alone[0].tobytes() == probs.tobytes()
+        got = sim._shots(probs, circuit.n_qubits, 300, (7, 3, i))
+        want = sample(bound, nm, 300, (7, 3, i))
         assert got.index.tolist() == want.index.tolist()
         assert got.count.tolist() == want.count.tolist()
 

@@ -1,7 +1,7 @@
 """Pinned training runs: the sha256 of every `OptResult` that the quick
 start and the noisy-train benchmark's noiseless baseline produce, of
 noisy training on every kind of 143 and on three kinds of 291311, and of
-the noisy-train benchmark's whole report.
+the whole report of the quick start and of the noisy-train benchmark.
 
 Each digest covers the winning angles as little-endian float64 bytes,
 then the best objective, the history, and the evaluation and generation
@@ -176,6 +176,28 @@ def test_noisy_train_report_is_pinned(seed):
                     label=_CLAUSES_291311.stem)
     digest = hashlib.sha256(reports_to_json(reports).encode()).hexdigest()
     assert digest == _NOISY_TRAIN_REPORTS[seed]
+
+
+# sha256 of `reports_to_json` for the quick-start sweep (143, all kinds,
+# p=1, levels 0, 0.5 and 1.0, seeds (S, S + 1), 512 train shots, the
+# default 8,192 report shots, population 10, 15 generations,
+# `reuse_params`): the bytes `vqf pipeline` writes to nrpg-report-*.json.
+# Every level scores the noiseless angles, so the noisy report draws go
+# into them.  Recorded while every report draw still bound its circuit.
+_QUICKSTART_REPORTS = {
+    0: "88547156761ce50271bee04c10c438a59f7e982ef9b12cf4c2a519e4959af8cb",
+    10: "b979892fae23705c3a0833523e3b296249362d3735298755d8829302ae6aa94c",
+    20: "48c1fcfd5c8c05eef97751a81eda58a80ee2edb52eae374ae5404991704c0606",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_QUICKSTART_REPORTS))
+def test_quickstart_report_is_pinned(seed):
+    cfg = SweepConfig(seeds=(seed, seed + 1), train_shots=512, population_size=10,
+                      max_generations=15, reuse_params=True)
+    reports = sweep(FactoringInstance(143, 4), ALL_KINDS, [1], [0.0, 0.5, 1.0], cfg)
+    digest = hashlib.sha256(reports_to_json(reports).encode()).hexdigest()
+    assert digest == _QUICKSTART_REPORTS[seed]
 
 
 # Noisy training at a small budget (256 shots, population 6, 3 generations,
