@@ -16,13 +16,19 @@ hit a contradiction).  All rules only ever remove assignments that satisfy
 no clause system solution, so the solution set projected onto the surviving
 variables is preserved exactly.  Propagation keeps a worklist, as unit
 propagation in SAT solvers does: a fix is substituted into, and rescanned
-in, only the clauses that hold its variable.
+in, only the clauses that hold its variable.  The presolve works on
+integers: a monomial is a bitmask over the clause variables, numbered in
+canonical order, and the verdict of the rules on each clause is memoized
+for the call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations
+from operator import or_
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -126,199 +132,233 @@ def cost_function(cs: ClauseSystem) -> BoolPoly:
 
 # -- presolve ----------------------------------------------------------------
 
-def _excludes_zero(poly: BoolPoly) -> bool:
-    lo, hi = poly.bounds()
-    return lo > 0 or hi < 0
+Clause = Dict[int, Union[int, Fraction]]  # monomial bitmask -> coefficient
 
 
-def _excludes_zero_at(clause: BoolPoly) -> Dict[Var, Tuple[bool, bool]]:
-    """For each variable v of clause: do its bounds at v = 0, and at v = 1,
-    exclude 0?
-
-    The verdicts of `_excludes_zero(clause.substitute({v: b}))`, read off
-    the terms: v = 0 drops the monomials holding v, and v = 1 folds each
-    one's coefficient c into the coefficient a of its monomial without v,
-    as `substitute` merges them.
-    """
-    lo, hi = clause.bounds()
-    at: Dict[Var, List] = {}  # v -> [lo0, hi0, lo1, hi1]
-    for m, c in clause.terms.items():
-        for i, v in enumerate(m):
-            b = at.get(v)
-            if b is None:
-                b = at[v] = [lo, hi, lo, hi]
-            if c > 0:  # v = 0: the monomial vanishes
-                b[1] -= c
-            else:
-                b[0] -= c
-            rest = m[:i] + m[i + 1:]  # v = 1: c merges into rest's coefficient
-            if rest:
-                a = clause.terms.get(rest, 0)
-                b[2] += min(a + c, 0) - min(a, 0) - min(c, 0)
-                b[3] += max(a + c, 0) - max(a, 0) - max(c, 0)
-            else:  # a is the constant, counted in both bounds
-                b[2] += c - min(c, 0)
-                b[3] += c - max(c, 0)
-    return {v: (b[0] > 0 or b[1] < 0, b[2] > 0 or b[3] < 0) for v, b in at.items()}
+def _held(clause: Clause) -> int:
+    """The mask of the variables the clause holds."""
+    return reduce(or_, clause, 0)
 
 
-def _scan_fixes(clauses: Sequence[BoolPoly]) -> Dict[Var, int]:
-    """One pass of the cheap rules over every clause.
+def _bounds(clause: Clause):
+    """`BoolPoly.bounds` of the clause: the constant plus its negative, and
+    plus its positive, non-constant coefficients."""
+    neg = sum(c for m, c in clause.items() if m and c < 0)
+    return clause.get(0, 0) + neg, sum(clause.values()) - neg
 
-    Raises Infeasible on a contradiction, otherwise returns variable fixes
-    that hold in every solution of the system.
-    """
-    found: Dict[Var, int] = {}
 
-    def record(v: Var, b: int):
-        if found.get(v, b) != b:
-            raise Infeasible(f"{v.name} forced to both 0 and 1")
-        found[v] = b
-
-    for clause in clauses:
-        vs = clause.variables()
-        if not vs:
-            if clause.constant:
-                raise Infeasible("constant clause is nonzero")
+def _substitute(clause: Clause, zero: int, one: int) -> Clause:
+    """The clause with the variables of mask `zero` set to 0 and of `one`
+    set to 1, its terms merged in order as `BoolPoly.substitute` does."""
+    out: Clause = {}
+    for m, c in clause.items():
+        if m & zero:
             continue
-        if _excludes_zero(clause):
-            raise Infeasible(f"bounds exclude 0: {format_poly(clause)}")
+        m &= ~one
+        acc = out.get(m, 0) + c
+        if acc:
+            out[m] = acc
+        else:
+            out.pop(m, None)
+    return out
+
+
+class _Bits(dict):
+    """mask -> the variable numbers of mask, ascending, computed once."""
+
+    def __missing__(self, mask: int) -> Tuple[int, ...]:
+        out = self[mask] = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+        return out
+
+
+class _Presolve:
+    """One `preprocess` call's state: variable i is `vars[i]`, numbered in
+    canonical order (so numbers sort as the `Var`s do), each mask's numbers
+    and the memo of each clause's rule verdicts.  Fixes map numbers to 0/1."""
+
+    def __init__(self, polys: Sequence[BoolPoly]):
+        self.vars: List[Var] = sorted({v for c in polys for m in c.terms for v in m})
+        self._bit = {v: 1 << i for i, v in enumerate(self.vars)}
+        self.bits = _Bits()
+        self.memo: Dict[tuple, tuple] = {}
+
+    def encode(self, poly: BoolPoly) -> Clause:
+        """poly in mask form and term order, with `int` coefficients when
+        all are integral (much cheaper than Fractions)."""
+        ints = all(k.denominator == 1 for k in poly.terms.values())
+        return {sum(map(self._bit.__getitem__, m)): k.numerator if ints else k
+                for m, k in poly.terms.items()}
+
+    def decode(self, clause: Clause) -> BoolPoly:
+        return BoolPoly({tuple(self.vars[i] for i in self.bits[m]): Fraction(k)
+                         for m, k in clause.items()})
+
+    def excludes_zero_at(self, clause: Clause) -> Dict[int, Tuple[bool, bool]]:
+        """For each variable v: do the clause's bounds at v = 0, and at v = 1,
+        exclude 0?  v = 0 drops v's monomials, v = 1 merges each into its rest."""
+        lo, hi = _bounds(clause)
+        at: Dict[int, List] = {}  # v -> [lo0, hi0, lo1, hi1]
+        for m, c in clause.items():
+            for v in self.bits[m]:
+                b = at.get(v)
+                if b is None:
+                    b = at[v] = [lo, hi, lo, hi]
+                if c > 0:  # v = 0: the monomial vanishes
+                    b[1] -= c
+                else:
+                    b[0] -= c
+                rest = m ^ 1 << v  # v = 1: c merges into rest's coefficient
+                if rest:
+                    a = clause.get(rest, 0)
+                    b[2] += min(a + c, 0) - min(a, 0) - min(c, 0)
+                    b[3] += max(a + c, 0) - max(a, 0) - max(c, 0)
+                else:  # a is the constant, counted in both bounds
+                    b[2] += c - min(c, 0)
+                    b[3] += c - max(c, 0)
+        return {v: (b[0] > 0 or b[1] < 0, b[2] > 0 or b[3] < 0) for v, b in at.items()}
+
+    def _rules(self, clause: Clause) -> Tuple[List[Tuple[int, int]], Optional[str]]:
+        """The cheap rules on one clause: the (variable, value) fixes they
+        record, in order, and the message of a contradiction or None."""
+        held = _held(clause)
+        k = clause.get(0, 0)
+        if not held:
+            return [], "constant clause is nonzero" if k else None
+        lo, hi = _bounds(clause)
+        if lo > 0 or hi < 0:
+            return [], f"bounds exclude 0: {format_poly(self.decode(clause))}"
+        records = []
 
         # same-signed monomials summing to zero force each one to vanish
-        coeffs = [c for m, c in clause.terms.items() if m]
-        if not clause.constant and (all(c > 0 for c in coeffs) or all(c < 0 for c in coeffs)):
-            for m in clause.terms:
-                if len(m) == 1:
-                    record(m[0], 0)
+        if not k and (all(c > 0 for c in clause.values())
+                      or all(c < 0 for c in clause.values())):
+            records += [(m.bit_length() - 1, 0) for m in clause if not m & (m - 1)]
 
         # parity: reduce the clause mod 2 when all coefficients are integral
-        if all(c.denominator == 1 for c in clause.terms.values()):
-            odd = [m for m, c in clause.terms.items() if m and c.numerator % 2]
-            k = clause.constant.numerator % 2
-            if not odd and k:
-                raise Infeasible(f"parity violation: {format_poly(clause)}")
-            if len(odd) == 1 and k:
-                for v in odd[0]:
-                    record(v, 1)
+        if k.numerator % 2 and all(c.denominator == 1 for c in clause.values()):
+            odd = [m for m, c in clause.items() if m and c.numerator % 2]
+            if not odd:
+                return records, f"parity violation: {format_poly(self.decode(clause))}"
+            if len(odd) == 1:
+                records += [(v, 1) for v in self.bits[odd[0]]]
 
         # single-clause tightening: a value whose substitution empties the
         # clause's value interval of 0 is impossible
-        excludes = _excludes_zero_at(clause)
-        for v in vs:
+        excludes = self.excludes_zero_at(clause)
+        for v in self.bits[held]:
             ex0, ex1 = excludes[v]
             if ex0 and ex1:
-                raise Infeasible(f"{v.name} has no feasible value")
-            if ex0:
-                record(v, 1)
-            elif ex1:
-                record(v, 0)
-    return found
+                return records, f"{self.vars[v].name} has no feasible value"
+            if ex0 or ex1:
+                records.append((v, 1 if ex0 else 0))
+        return records, None
 
+    def scan_fixes(self, clauses: Sequence[Clause]) -> Dict[int, int]:
+        """One pass of the cheap rules over every clause: fixes that hold
+        in every solution, or Infeasible.  A clause's verdict depends on
+        its ordered terms alone, so it is memoized and replayed."""
+        found: Dict[int, int] = {}
+        for clause in clauses:
+            key = tuple(clause.items())
+            verdict = self.memo.get(key)
+            if verdict is None:
+                verdict = self.memo[key] = self._rules(clause)
+            records, error = verdict
+            for v, b in records:
+                if found.setdefault(v, b) != b:
+                    raise Infeasible(f"{self.vars[v].name} forced to both 0 and 1")
+            if error:
+                raise Infeasible(error)
+        return found
 
-def _propagate(clauses: List[BoolPoly], fixes: Optional[Dict[Var, int]] = None
-               ) -> Tuple[List[BoolPoly], Dict[Var, int]]:
-    """Apply `fixes`, then run the cheap rules to fixpoint.
+    def propagate(self, clauses: Sequence[Clause], fixes: Optional[Dict[int, int]] = None
+                  ) -> Tuple[List[Clause], Dict[int, int]]:
+        """Apply `fixes`, then run the cheap rules to fixpoint.
 
-    Returns (clauses, the given fixes followed by the derived ones).  Each
-    round substitutes its fixes into, and the next scans, only the clauses
-    holding a fixed variable, in list order.  A clause no fix touched
-    yields nothing new, so the rounds find what full rescans would, in the
-    same order.  Without `fixes` the first round scans every clause; with
-    them, `clauses` must already be at a fixpoint.
-    """
-    clauses = list(clauses)
-    held = [{v for m in c.terms for v in m} for c in clauses]
-    index: Dict[Var, List[int]] = {}
-    for i, vs in enumerate(held):
-        for v in vs:
-            index.setdefault(v, []).append(i)
-    found = _scan_fixes(clauses) if fixes is None else fixes
-    derived: Dict[Var, int] = {}
-    while found:
-        merge_fixes(derived, found)
-        touched = sorted({i for v in found for i in index.get(v, ())
-                          if v in held[i]})
-        rescan = []
-        for i in touched:
-            c = clauses[i].substitute(found)
-            held[i] = {v for m in c.terms for v in m}
-            if held[i]:
-                clauses[i] = c
-                rescan.append(c)
-            elif c.constant:
-                raise Infeasible("clause reduced to nonzero constant")
-            else:
-                clauses[i] = None
-        found = _scan_fixes(rescan)
-    return [c for c in clauses if c is not None], derived
+        Returns (clauses, the given fixes followed by the derived ones).
+        Each round substitutes its fixes into, and the next scans, only
+        the clauses holding a fixed variable, in list order.  A clause no
+        fix touched yields nothing new, so the rounds find what full
+        rescans would, in the same order.  Without `fixes` the first round
+        scans every clause; with them, `clauses` must already be at a
+        fixpoint.
+        """
+        clauses = list(clauses)
+        held = [_held(c) for c in clauses]
+        found = self.scan_fixes(clauses) if fixes is None else fixes
+        derived: Dict[int, int] = {}
+        while found:
+            derived.update(found)
+            one = sum(1 << v for v, b in found.items() if b)
+            zero = sum(1 << v for v, b in found.items() if not b)
+            rescan = []
+            for i, h in enumerate(held):
+                if h & (zero | one):
+                    c = _substitute(clauses[i], zero, one)
+                    held[i] = h = _held(c)
+                    clauses[i] = c if h else None
+                    if h:
+                        rescan.append(c)
+                    elif c:
+                        raise Infeasible("clause reduced to nonzero constant")
+            found = self.scan_fixes(rescan)
+        return [c for c in clauses if c is not None], derived
 
+    def feasible(self, clauses: Sequence[Clause], assumption: Dict[int, int]) -> bool:
+        """Can propagation live with this tentative assignment?  `clauses`
+        must be at a propagation fixpoint."""
+        try:
+            self.propagate(clauses, assumption)
+            return True
+        except Infeasible:
+            return False
 
-def _feasible(clauses: Sequence[BoolPoly], assumption: Dict[Var, int]) -> bool:
-    """Can propagation live with this tentative assignment?
+    def annihilate_products(self, clauses: List[Clause]
+                            ) -> Optional[Tuple[List[Clause], Dict[int, int]]]:
+        """Strip monomials whose variable pair is provably never (1,1).
 
-    `clauses` must be at a propagation fixpoint.
-    """
-    try:
-        _propagate(clauses, assumption)
-        return True
-    except Infeasible:
-        return False
+        For every pair of variables sharing a monomial, probe the joint
+        assignment (1,1); if propagation refutes it, the product uv is
+        zero on every solution and each monomial containing both u and v
+        (a multiple of uv) can be removed without losing solutions.  The
+        reduced system is then re-probed: every pair actually used must
+        still be refuted, which closes the reverse inclusion and makes the
+        rewrite an exact solution-set-preserving step.
 
-
-def _annihilate_products(clauses: List[BoolPoly]
-                         ) -> Optional[Tuple[List[BoolPoly], Dict[Var, int]]]:
-    """Strip monomials whose variable pair is provably never (1,1).
-
-    For every pair of variables sharing a monomial, probe the joint
-    assignment (1,1); if propagation refutes it, the product uv is zero
-    on every solution and each monomial containing both u and v (a
-    multiple of uv) can be removed without losing solutions.  The
-    reduced system is then re-probed: every pair actually used must
-    still be refuted, which closes the reverse inclusion and makes the
-    rewrite an exact solution-set-preserving step.
-
-    Returns the rewrite, propagated, and the fixes that propagation
-    derived; None when nothing was removed or a verification failed.
-    Probes start from a fixpoint, so the rewrite is propagated first.  The
-    rules only tighten as variables get fixed, so that order does not
-    change a verdict, and a pair propagation fixed to 0 is refuted already.
-    """
-    co = set()
-    for c in clauses:
-        for m in c.terms:
-            for a in range(len(m)):
-                for b in range(a + 1, len(m)):
-                    co.add((m[a], m[b]))
-    zero = {pr for pr in co if not _feasible(clauses, {pr[0]: 1, pr[1]: 1})}
-    if not zero:
-        return None
-
-    used = set()
-    out: List[BoolPoly] = []
-    for c in clauses:
-        kept = BoolPoly()
-        for m, k in c.monomials():
-            hit = next((pr for a in range(len(m)) for pr in
-                        [(m[a], m[b]) for b in range(a + 1, len(m))]
-                        if pr in zero), None)
-            if hit is None:
-                kept.terms[m] = k
-            else:
-                used.add(hit)
-        if kept.is_zero():
-            continue
-        if not kept.variables():
-            if kept.constant:
-                raise Infeasible("clause reduced to nonzero constant")
-            continue
-        out.append(kept)
-    if not used:
-        return None
-    out, derived = _propagate(out)
-    for u, v in sorted(used):
-        if 0 not in (derived.get(u), derived.get(v)) and _feasible(out, {u: 1, v: 1}):
+        Returns the rewrite, propagated, and the fixes that propagation
+        derived; None when nothing was removed or a verification failed.
+        Probes start from a fixpoint, so the rewrite is propagated first.
+        The rules only tighten as variables get fixed, so that order does
+        not change a verdict, and a pair propagation fixed to 0 is refuted
+        already.
+        """
+        co = {pr for c in clauses for m in c for pr in combinations(self.bits[m], 2)}
+        zero = {pr for pr in co if not self.feasible(clauses, dict.fromkeys(pr, 1))}
+        if not zero:
             return None
-    return out, derived
+
+        used = set()
+        out: List[Clause] = []
+        for c in clauses:
+            kept: Clause = {}
+            # canonical term order: by (degree, variable sequence)
+            for m in sorted(c, key=lambda m: (len(self.bits[m]), self.bits[m])):
+                hit = next((pr for pr in combinations(self.bits[m], 2) if pr in zero), None)
+                if hit is None:
+                    kept[m] = c[m]
+                else:
+                    used.add(hit)
+            if _held(kept):
+                out.append(kept)
+            elif kept:
+                raise Infeasible("clause reduced to nonzero constant")
+        if not used:
+            return None
+        out, derived = self.propagate(out)
+        for u, v in sorted(used):
+            if 0 not in (derived.get(u), derived.get(v)) and self.feasible(out, {u: 1, v: 1}):
+                return None
+        return out, derived
 
 
 def preprocess(cs: ClauseSystem, probe_depth: int = 2) -> ClauseSystem:
@@ -332,21 +372,25 @@ def preprocess(cs: ClauseSystem, probe_depth: int = 2) -> ClauseSystem:
     propagation substitutes and rescans only the clauses holding a fixed
     variable.  Clauses equal to 0 are dropped.
 
-    The rules only add, subtract and compare, so each clause whose
-    coefficients are all integral (every clause `build_clauses` makes) is
-    worked on with `int` coefficients, which are much cheaper than
-    Fractions.  The returned clauses hold Fractions, as the input did.
+    The rules run on integers: a monomial is a bitmask over the variables
+    numbered in canonical order, a clause a dict {mask: coefficient} (the
+    constant under 0) with `int`s when all are integral.  Probes meet the
+    same clauses again and again, so each clause's rule verdict is
+    memoized for the call.  The result holds Fractions.
     """
     if probe_depth not in (0, 1, 2):
         raise InvalidConfig(f"probe_depth must be 0, 1 or 2, got {probe_depth}")
-    clauses = [BoolPoly({m: k.numerator for m, k in c.terms.items()})
-               if all(k.denominator == 1 for k in c.terms.values()) else c
-               for c in cs.clauses if not c.is_zero()]
+    polys = [c for c in cs.clauses if not c.is_zero()]
+    ps = _Presolve(polys)
+    clauses = [ps.encode(c) for c in polys]
     fixes: Dict[Var, FixTarget] = dict(cs.fixes)
 
-    clauses, derived = _propagate(clauses)
-    merge_fixes(fixes, derived)
+    def adopt(result: Tuple[List[Clause], Dict[int, int]]) -> None:
+        nonlocal clauses
+        clauses, derived = result
+        merge_fixes(fixes, {ps.vars[v]: b for v, b in derived.items()})
 
+    adopt(ps.propagate(clauses))
     while True:
         changed = False
         if probe_depth >= 1:
@@ -354,32 +398,27 @@ def preprocess(cs: ClauseSystem, probe_depth: int = 2) -> ClauseSystem:
             progress = True
             while progress:
                 progress = False
-                for v in sorted({v for c in clauses for v in c.variables()}):
-                    if not any(v in c2.variables() for c2 in clauses):
+                held = reduce(or_, map(_held, clauses), 0)
+                for v in ps.bits[held]:
+                    if not held >> v & 1:
                         continue  # eliminated by an earlier fix in this pass
-                    f0 = _feasible(clauses, {v: 0})
-                    f1 = _feasible(clauses, {v: 1})
+                    f0 = ps.feasible(clauses, {v: 0})
+                    f1 = ps.feasible(clauses, {v: 1})
                     if not f0 and not f1:
-                        raise Infeasible(f"{v.name} has no feasible value")
+                        raise Infeasible(f"{ps.vars[v].name} has no feasible value")
                     if f0 != f1:
-                        clauses, derived = _propagate(clauses, {v: 0 if f0 else 1})
-                        merge_fixes(fixes, derived)
+                        adopt(ps.propagate(clauses, {v: 0 if f0 else 1}))
+                        held = reduce(or_, map(_held, clauses), 0)
                         progress = changed = True
         if probe_depth >= 2:
-            pairs = sorted({tuple(sorted(pr))
-                            for c in clauses
-                            for vs in [c.variables()]
-                            for a in range(len(vs))
-                            for pr in [(vs[a], vs[b]) for b in range(a + 1, len(vs))]})
+            pairs = sorted({pr for c in clauses for pr in combinations(ps.bits[_held(c)], 2)})
             for u, v in pairs:
-                live = set()
-                for bu in (0, 1):
-                    for bv in (0, 1):
-                        if _feasible(clauses, {u: bu, v: bv}):
-                            live.add((bu, bv))
+                live = {(bu, bv) for bu in (0, 1) for bv in (0, 1)
+                        if ps.feasible(clauses, {u: bu, v: bv})}
                 if not live:
-                    raise Infeasible(f"no joint value for {u.name},{v.name}")
-                new: Dict[Var, int] = {}
+                    raise Infeasible(
+                        f"no joint value for {ps.vars[u].name},{ps.vars[v].name}")
+                new: Dict[int, int] = {}
                 u_vals = {a for a, _ in live}
                 v_vals = {b for _, b in live}
                 if len(u_vals) == 1:
@@ -387,15 +426,13 @@ def preprocess(cs: ClauseSystem, probe_depth: int = 2) -> ClauseSystem:
                 if len(v_vals) == 1:
                     new[v] = v_vals.pop()
                 if new:
-                    clauses, derived = _propagate(clauses, new)
-                    merge_fixes(fixes, derived)
+                    adopt(ps.propagate(clauses, new))
                     changed = True
                     break  # pair list is stale; rebuild
         if not changed and probe_depth >= 2:
-            rewrite = _annihilate_products(clauses)
+            rewrite = ps.annihilate_products(clauses)
             if rewrite is not None:
-                clauses, derived = rewrite
-                merge_fixes(fixes, derived)
+                adopt(rewrite)
                 changed = True
         if not changed:
             break
@@ -404,10 +441,10 @@ def preprocess(cs: ClauseSystem, probe_depth: int = 2) -> ClauseSystem:
     seen_keys = set()
     unique: List[BoolPoly] = []
     for c in clauses:
-        key = tuple(sorted((m, c2) for m, c2 in c.terms.items()))
+        key = frozenset(c.items())
         if key not in seen_keys:
             seen_keys.add(key)
-            unique.append(BoolPoly({m: Fraction(k) for m, k in c.terms.items()}))
+            unique.append(ps.decode(c))
     return ClauseSystem(unique, fixes)
 
 

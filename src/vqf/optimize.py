@@ -28,8 +28,7 @@ import numpy as np
 
 from .circuit import compile_qaoa
 from .errors import InvalidConfig, ParseError
-from .sim import (NoiseModel, _distributions, _integer, _seed_tuple, _shots,
-                  estimate_expectation)
+from .sim import NoiseModel, _distributions, _draw, _integer, _seed_tuple
 from .transform import Hamiltonian
 
 Seed = Union[int, Sequence[int]]
@@ -239,8 +238,11 @@ def train_qaoa(h: Hamiltonian, p: int, nm: NoiseModel, m: int = 2048,
     base = cfg.seed
 
     def score(X, gen):
-        shots = (_shots(probs, h.n_qubits, m, (*base, gen, i))
-                 for i, probs in enumerate(distributions(X)))
-        return np.array([estimate_expectation(s, energies) for s in shots])
+        # one bincount, row i at offset i * 2^n; each count * energy
+        # partial sum is exact, so rows average as `estimate_expectation`
+        shots = [_draw(probs, m, (*base, gen, i)) + i * len(energies)
+                 for i, probs in enumerate(distributions(X))]
+        counts = np.bincount(np.concatenate(shots), minlength=len(X) * len(energies))
+        return counts.reshape(len(X), -1) @ energies / m
 
     return _de(score, cfg)

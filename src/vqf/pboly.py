@@ -3,9 +3,7 @@
 Polynomials here are multilinear: x*x == x for every binary variable, so a
 monomial is a set of distinct variables and multiplication reduces by set
 union.  Coefficients are exact `fractions.Fraction` values; nothing is
-rounded until the spin-Hamiltonian boundary.  The presolve in
-`vqf.encoder` works internally on `int` coefficients, which every
-operation here accepts, and hands back Fractions.
+rounded until the spin-Hamiltonian boundary.
 """
 
 from __future__ import annotations
@@ -131,9 +129,7 @@ class BoolPoly:
     """Multilinear polynomial with exact rational coefficients.
 
     Internal representation: dict mapping a sorted tuple of Vars to a
-    nonzero Fraction.  The empty tuple keys the constant term.  Inside
-    `vqf.encoder.preprocess` the coefficients of integral clauses are
-    `int`s instead; every polynomial it returns holds Fractions again.
+    nonzero Fraction.  The empty tuple keys the constant term.
     """
 
     __slots__ = ("terms",)

@@ -2,17 +2,25 @@
 
 The harness runs `vqf.cli.main`, checks the written artifacts with the
 encoder and `Hamiltonian`, and its tracer and harness tests read the
-simulator's noise test and the optimizer's entry points.  A name gone
+simulator's noise test and the optimizer's entry points.  The tracer
+wraps the presolve names that `vqf.cli` and `vqf.evaluate` import, and
+reads `free_vars` of `preprocess`'s first argument and of its result.  A name gone
 from `src/` breaks the benchmark's output checks or a traced run, so
 each one is looked up here.
 """
 
 import importlib
+import inspect
 
 import pytest
 
 _NAMES = [
     ("vqf.cli", "main"),
+    ("vqf.cli", "preprocess"),
+    ("vqf.cli", "build_clauses"),
+    ("vqf.cli", "load_clause_file"),
+    ("vqf.evaluate", "preprocess"),
+    ("vqf.evaluate", "build_clauses"),
     ("vqf.encoder", "decode_factors"),
     ("vqf.encoder", "load_clause_file"),
     ("vqf.encoder", "ClauseSystem.free_vars"),
@@ -34,3 +42,9 @@ def test_benchmark_name_exists(module, name):
         owner = getattr(owner, part)
     # a dataclass field counts whether or not the class has slots
     assert hasattr(owner, last) or last in getattr(owner, "__dataclass_fields__", {})
+
+
+def test_traced_preprocess_takes_its_clause_system_first_as_cs():
+    # `_preprocess_attrs` reads the first positional argument, else `cs`
+    from vqf.encoder import preprocess
+    assert next(iter(inspect.signature(preprocess).parameters)) == "cs"

@@ -12,14 +12,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vqf import encoder
 from vqf.encoder import (
     ClauseSystem,
     FactoringInstance,
-    _annihilate_products,
-    _excludes_zero,
-    _excludes_zero_at,
-    _feasible,
-    _propagate,
+    _held,
+    _Presolve,
     build_clauses,
     clause_file_text,
     cost_function,
@@ -201,7 +199,7 @@ def _presolve_record(cs, depth):
 
 
 def test_presolve_of_random_systems_is_pinned():
-    # 1,800 presolves; some of them erase products (`_annihilate_products`)
+    # 1,800 presolves; some of them erase products (`annihilate_products`)
     h = hashlib.sha256()
     for seed in range(200):
         for n_bits, n_clauses in ((3, 4), (4, 6), (5, 8)):
@@ -212,27 +210,109 @@ def test_presolve_of_random_systems_is_pinned():
     assert h.hexdigest() == "b317ff1c1a896de3fa8c9f9df6ed528900f2cd541585ab91c04a9cfdcc589482"
 
 
+def _primes(bits):
+    return [n for n in range(1 << (bits - 1), 1 << bits)
+            if all(n % d for d in range(2, int(n ** 0.5) + 1))]
+
+
+def test_presolve_of_the_census_is_pinned():
+    # every p*q with primes p <= q of exactly L bits, L = 4, 5, 6: 46
+    # instances, recorded before the presolve moved to bitmask monomials
+    h = hashlib.sha256()
+    count = 0
+    for bits in (4, 5, 6):
+        ps = _primes(bits)
+        for a, p in enumerate(ps):
+            for q in ps[a:]:
+                count += 1
+                h.update(f"{p} {q} {bits}\n".encode())
+                try:
+                    text = clause_file_text(preprocess(build_clauses(
+                        FactoringInstance(p * q, bits))))
+                except VqfError as exc:
+                    text = f"{type(exc).__name__}: {exc}\n"
+                h.update(text.encode())
+    assert count == 46
+    assert h.hexdigest() == "e87dba482fe2b1981d56715d451590f80334c7dc500c2905608d437629bfdaea"
+
+
+class _NoMemo(dict):
+    """A rule memo that never stores."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _depth_2_records():
+    return [_presolve_record(make_random_clause_system(seed, n_bits, n_clauses), 2)
+            for seed in range(200) for n_bits, n_clauses in ((3, 4), (4, 6), (5, 8))]
+
+
+def test_rule_memo_changes_no_verdict(monkeypatch):
+    # the memo replays each clause's records and error: without it the
+    # presolve reaches the same clauses, fixes in insertion order and errors
+    want = _depth_2_records()
+    memos = []
+    init = _Presolve.__init__
+
+    def forgetful(self, polys):
+        init(self, polys)
+        self.memo = _NoMemo()
+        memos.append(self.memo)
+
+    monkeypatch.setattr(_Presolve, "__init__", forgetful)
+    assert _depth_2_records() == want
+    assert len(memos) == 600 and not any(memos)
+
+
+def test_each_presolve_starts_with_an_empty_memo(monkeypatch):
+    states = []
+    init = _Presolve.__init__
+
+    def spy(self, polys):
+        init(self, polys)
+        states.append((self, len(self.memo)))
+
+    monkeypatch.setattr(_Presolve, "__init__", spy)
+    cs = build_clauses(FactoringInstance(143, 4))
+    assert clause_file_text(preprocess(cs)) == clause_file_text(preprocess(cs))
+    (first, held_first), (second, held_second) = states
+    assert held_first == held_second == 0
+    # the second call met the same clauses and stored each one again
+    assert second.memo is not first.memo
+    assert len(second.memo) == len(first.memo) > 0
+
+
+def _presolve_of(polys):
+    """A presolve state numbering the variables of polys, and polys in
+    its mask form."""
+    ps = _Presolve(polys)
+    return ps, [ps.encode(c) for c in polys]
+
+
 def test_probe_substitutes_only_the_clauses_its_fixes_touch(monkeypatch):
-    settled, _ = _propagate(build_clauses(FactoringInstance(291311, 10)).clauses)
-    v = Var.parse("z2_3")  # in 2 of the 14 clauses; both values propagate
+    ps, clauses = _presolve_of(build_clauses(FactoringInstance(291311, 10)).clauses)
+    settled, _ = ps.propagate(clauses)
+    v = ps.vars.index(Var.parse("z2_3"))  # in 2 of the 14 clauses; both values propagate
     calls = []
-    substitute = BoolPoly.substitute
+    substitute = encoder._substitute
 
-    def spy(self, fixes):
-        calls.append((self, dict(fixes)))
-        return substitute(self, fixes)
+    def spy(clause, zero, one):
+        calls.append((clause, zero, one))
+        return substitute(clause, zero, one)
 
-    monkeypatch.setattr(BoolPoly, "substitute", spy)
+    monkeypatch.setattr(encoder, "_substitute", spy)
     for b, feasible in ((0, True), (1, False)):
         calls.clear()
-        assert _feasible(settled, {v: b}) is feasible
+        assert ps.feasible(settled, {v: b}) is feasible
         # first the clauses holding v, in list order; then only clauses
         # holding a variable that the previous round fixed
-        assert [c for c, f in calls if f == {v: b}] == [
-            c for c in settled if v in c.variables()]
+        first = (0, 1 << v) if b else (1 << v, 0)
+        assert [c for c, *f in calls if tuple(f) == first] == [
+            c for c in settled if _held(c) >> v & 1]
         assert len(calls) > 2
-        for c, f in calls:
-            assert not set(f).isdisjoint(c.variables())
+        for c, zero, one in calls:
+            assert (zero | one) & _held(c)
 
 
 @pytest.mark.parametrize("clauses, want", [
@@ -248,11 +328,12 @@ def test_annihilation_reprobes_its_propagated_rewrite(clauses, want):
     # an erased product can leave a rewrite that propagation reduces
     # further; the verdicts must be those of probing the raw rewrite
     # (recorded before propagation became a worklist)
-    clauses = [parse_poly(c) for c in clauses]
-    assert _propagate(clauses)[1] == {}  # probes start from a fixpoint
-    got = _annihilate_products(clauses)
+    ps, clauses = _presolve_of([parse_poly(c) for c in clauses])
+    assert ps.propagate(clauses)[1] == {}  # probes start from a fixpoint
+    got = ps.annihilate_products(clauses)
     if got is not None:
-        got = ([format_poly(c) for c in got[0]], {v.name: t for v, t in got[1].items()})
+        got = ([format_poly(ps.decode(c)) for c in got[0]],
+               {ps.vars[v].name: t for v, t in got[1].items()})
     assert got == want
 
 
@@ -317,13 +398,23 @@ def test_tightening_matches_substitution(terms):
     clause = BoolPoly.zero()
     for vs, c in terms:
         clause = clause + BoolPoly.monomial(vs, c)
-    want = {v: (_excludes_zero(clause.substitute({v: 0})),
-                _excludes_zero(clause.substitute({v: 1})))
+
+    def excludes_zero(poly):
+        lo, hi = poly.bounds()
+        return lo > 0 or hi < 0
+
+    want = {v: (excludes_zero(clause.substitute({v: 0})),
+                excludes_zero(clause.substitute({v: 1})))
             for v in clause.variables()}
-    assert _excludes_zero_at(clause) == want
-    as_ints = BoolPoly({m: k.numerator if k.denominator == 1 else k
-                        for m, k in clause.terms.items()})
-    assert _excludes_zero_at(as_ints) == want
+    ps = _Presolve([clause])
+
+    def excludes_zero_at(coeff):
+        masks = {sum(1 << ps.vars.index(v) for v in m): coeff(k)
+                 for m, k in clause.terms.items()}
+        return {ps.vars[v]: ex for v, ex in ps.excludes_zero_at(masks).items()}
+
+    assert excludes_zero_at(lambda k: k) == want
+    assert excludes_zero_at(lambda k: k.numerator if k.denominator == 1 else k) == want
 
 
 def test_presolve_preserves_solutions_143(raw_143, system_143):
