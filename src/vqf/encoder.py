@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
+from itertools import chain, combinations
 from operator import or_
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -171,6 +171,9 @@ class _Bits(dict):
         return out
 
 
+_NO_VERDICT: Tuple[tuple, None] = ((), None)
+
+
 class _Presolve:
     """One `preprocess` call's state: variable i is `vars[i]`, numbered in
     canonical order (so numbers sort as the `Var`s do), each mask's numbers
@@ -259,10 +262,13 @@ class _Presolve:
         its ordered terms alone, so it is memoized and replayed."""
         found: Dict[int, int] = {}
         for clause in clauses:
-            key = tuple(clause.items())
+            key = tuple(chain.from_iterable(clause.items()))
             verdict = self.memo.get(key)
             if verdict is None:
-                verdict = self.memo[key] = self._rules(clause)
+                records, error = self._rules(clause)
+                # most clauses yield nothing: their verdicts share one value
+                verdict = (tuple(records), error) if records or error else _NO_VERDICT
+                self.memo[key] = verdict
             records, error = verdict
             for v, b in records:
                 if found.setdefault(v, b) != b:

@@ -23,7 +23,7 @@ from .circuit import CircuitStats, compile_qaoa, stats
 from .encoder import ClauseSystem, FactoringInstance, build_clauses, preprocess
 from .errors import (DegenerateBaseline, InvalidConfig, NoFeasibleCandidate,
                      ParseError)
-from .optimize import DeConfig, train_qaoa
+from .optimize import DeConfig, _train
 from .pboly import BoolPoly, brute_force_minima
 from .sim import (NoiseModel, _boolean, _distributions, _integer, _seed_tuple, _shots,
                   check_width, success_probability)
@@ -231,10 +231,12 @@ def sweep(instance: Instance, transformations: Sequence[TransformKind],
     for kind, poly, h in hams:
         rand = compute_rand(poly)
         solutions = minimizer_indices(h)
+        energies = h.diagonal()
         for p in p_list:
             circuit = compile_qaoa(h, p)
             st = stats(circuit)
-            # one exact-distribution seam per level, shared by every seed
+            # one exact-distribution seam per level, shared by every seed's
+            # training and scoring
             dists = {i: _distributions(circuit, noise[i]) for i in levels}
             for seed in cfg.seeds:
                 de_cfg = cfg.de_config(p, seed)
@@ -245,7 +247,7 @@ def sweep(instance: Instance, transformations: Sequence[TransformKind],
                     shots = _shots(probs, h.n_qubits, cfg.report_shots, eval_seed)
                     return success_probability(shots, solutions)
 
-                base = train_qaoa(h, p, noise[0.0], cfg.train_shots, de_cfg)
+                base = _train(dists[0.0], energies, cfg.train_shots, de_cfg)
                 m_0p = measure(base.best_params, 0.0)
                 for i in levels:
                     if i == 0.0:
@@ -253,7 +255,7 @@ def sweep(instance: Instance, transformations: Sequence[TransformKind],
                     elif cfg.reuse_params:
                         m_ip = measure(base.best_params, i)
                     else:
-                        res = train_qaoa(h, p, noise[i], cfg.train_shots, de_cfg)
+                        res = _train(dists[i], energies, cfg.train_shots, de_cfg)
                         m_ip = measure(res.best_params, i)
                     reports.append(NrpgReport(
                         name, kind.name, p, i, m_ip, m_0p, rand,

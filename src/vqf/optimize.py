@@ -11,8 +11,9 @@ frozen shot-noise bias.
 DE draws every decision of a generation before it scores any candidate,
 so a generation is scored as one trial matrix.  Its candidates get their
 exact output distributions together, from one `sim._distributions` built
-per training run, and each draws its shots from its own slot's seed, so
-the result is bit for bit that of binding and sampling them one at a time.
+per training run (or, in a sweep, per circuit and noise level for every
+seed), and each draws its shots from its own slot's seed, so the result
+is bit for bit that of binding and sampling them one at a time.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import inspect
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -232,9 +233,14 @@ def train_qaoa(h: Hamiltonian, p: int, nm: NoiseModel, m: int = 2048,
     elif cfg.dim != 2 * p:
         raise InvalidConfig(
             f"cfg.dim = {cfg.dim} but level p = {p} needs {2 * p} parameters")
+    return _train(_distributions(compile_qaoa(h, p), nm), h.diagonal(), m, cfg)
 
-    distributions = _distributions(compile_qaoa(h, p), nm)
-    energies = h.diagonal()
+
+def _train(distributions: Callable[[np.ndarray], Iterator[np.ndarray]],
+           energies: np.ndarray, m: int, cfg: DeConfig) -> OptResult:
+    """`train_qaoa` through a prebuilt seam: `distributions` of the
+    compiled circuit under the noise model, `energies` the Hamiltonian's
+    diagonal, `m` a checked shot count and `cfg` of dimension 2p."""
     base = cfg.seed
 
     def score(X, gen):

@@ -18,11 +18,14 @@ Without noise, one statevector pass serves up to 24 qubits.
 One function picks the engine: `_distributions(circuit, nm)` maps each
 row of an angle matrix to its exact output distribution, |psi|^2 without
 active noise, else diag(rho), bit for bit as if the row were bound alone.
-Without noise the rows are one (rows, 2^n) statevector array.  Under
-noise one `_DensityPlan` per seam holds all but the RZ/RX angles: the
+Each seam builds one plan that holds all but the RZ/RX angles.  Without
+noise a `_StatePlan` holds the prefix row of the leading fixed gates (the
+H wall) and a parity mask per RZ: CNOTs only relabel basis states, so
+they fold into the masks and cost no pass, and the rows evolve as one
+(rows, 2^n) statevector array.  Under noise a `_DensityPlan` holds the
 schedule, the blocks and their fixed gates' maps, and the gathers.  A
-call then only builds its angle gates' maps, composes its blocks and
-evolves its rows.
+call then only builds its angle gates' factors or maps, composes any
+blocks and evolves its rows.
 
 Shot j of a draw under seed tuple s reads uniform j % 256 of substream
 (*s, j // 256, 1), so the result is a deterministic function of (circuit,
@@ -225,68 +228,6 @@ class SampleSet:
         return f"SampleSet(total={self.total}, distinct={self.index.size})"
 
 
-def _view(states: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Expose qubit k as the middle axis: (rows, high, 2, low)."""
-    rows = states.shape[0]
-    return states.reshape(rows, 1 << (n - k - 1), 2, 1 << k)
-
-
-def _apply_cnot(states: np.ndarray, n: int, c: int, t: int) -> None:
-    """Swap the target-bit slices of the control=1 subspace (no gather)."""
-    rows = states.shape[0]
-    hi, lo = (c, t) if c > t else (t, c)
-    v = states.reshape(rows, 1 << (n - 1 - hi), 2, 1 << (hi - lo - 1), 2, 1 << lo)
-    if c > t:
-        a = v[:, :, 1, :, 0, :].copy()
-        v[:, :, 1, :, 0, :] = v[:, :, 1, :, 1, :]
-        v[:, :, 1, :, 1, :] = a
-    else:
-        a = v[:, :, 0, :, 1, :].copy()
-        v[:, :, 0, :, 1, :] = v[:, :, 1, :, 1, :]
-        v[:, :, 1, :, 1, :] = a
-
-
-def _rotation(kind: str, angle: float) -> Tuple[complex, complex]:
-    """The two factors `_apply_unitary` applies for RZ or RX(angle): RZ
-    scales |0> by the first and |1> by the second; RX mixes them with
-    cos on the diagonal and -i sin off it."""
-    half = 0.5 * angle
-    if kind == "RZ":
-        return complex(np.cos(half), -np.sin(half)), complex(np.cos(half), np.sin(half))
-    return np.cos(half), -1j * np.sin(half)
-
-
-def _apply_unitary(states: np.ndarray, n: int, g: Gate, factors=None) -> None:
-    """Apply g to each row of `states`, shape (rows, 2^n).  For RZ and RX,
-    `factors` is each row's `_rotation` pair, shaped (rows, 1, 1); by
-    default every row takes the pair of g.angle."""
-    if g.kind == "CNOT":
-        _apply_cnot(states, n, g.qubits[0], g.qubits[1])
-        return
-    k = g.qubits[0]
-    v = _view(states, n, k)
-    s0 = v[:, :, 0, :]
-    s1 = v[:, :, 1, :]
-    if g.kind == "H":
-        tmp = s0.copy()
-        s0 += s1
-        s0 *= _SQRT_HALF
-        s1 *= -1.0
-        s1 += tmp
-        s1 *= _SQRT_HALF
-        return
-    f0, f1 = _rotation(g.kind, g.angle) if factors is None else factors
-    if g.kind == "RZ":
-        s0 *= f0
-        s1 *= f1
-    else:  # RX
-        tmp = s0.copy()
-        s0 *= f0
-        s0 += f1 * s1
-        s1 *= f0
-        s1 += f1 * tmp
-
-
 def _noise_active(nm: NoiseModel) -> Tuple[bool, bool]:
     gate = nm.gate_noise_on and nm.scale > 0 and (nm.p1 > 0 or nm.p2 > 0)
     deco = nm.decoherence_on and nm.scale > 0 and (
@@ -314,41 +255,171 @@ def check_width(n_qubits: int, nm: Optional[NoiseModel] = None) -> None:
 def simulate_statevector(circuit: BoundCircuit) -> np.ndarray:
     """Exact noiseless final state (2^n complex amplitudes)."""
     check_width(circuit.n_qubits)
-    return next(_bound_states(circuit, np.empty((1, 0))))
+    return next(_StatePlan(circuit).evolve(np.empty((1, 0))))[0]
 
 
-def _bound_states(circuit: Union[ParamCircuit, BoundCircuit],
-                  X: np.ndarray) -> Iterator[np.ndarray]:
-    """The final state of `circuit` bound to each row of X, in row order.
+def _span(vectors: np.ndarray) -> np.ndarray:
+    """out[..., x] for every x < 2^len(vectors): the XOR of vectors[j] over
+    the set bits j of x.  With the bits of w, the parity of x & w; with the
+    columns of a GF(2) matrix, the image of x.  Each of vectors[j] may be an
+    array, so one call spans many at once."""
+    out = np.zeros(vectors.shape[1:] + (1,), dtype=vectors.dtype)
+    for v in vectors:
+        out = np.concatenate([out, out ^ v[..., None]], axis=-1)
+    return out
 
-    A row is (gamma_1..gamma_p, beta_1..beta_p), and each angle is
-    scale * float(row entry), as `bind` computes it, so every state is
-    bit for bit `simulate_statevector(bind(...))`; a `BoundCircuit` has
-    no parameters and evolves one empty row.  Rows evolve together, at
-    most `_BATCH_AMPS` amplitudes at a time (one row once 2^n reaches
-    it), and each distinct (kind, param) takes one `_rotation` per row.
+
+def _rotation_factors(rz: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """The two factors of an RZ or RX at each of `angles`, as out[0] and
+    out[1] shaped like it, `rz` marking its RZ columns.  RZ(a) scales |0>
+    by cos(a/2) - i sin(a/2) and |1> by cos(a/2) + i sin(a/2); RX(a) mixes
+    them with cos(a/2) on the diagonal and -i sin(a/2) off it."""
+    half = 0.5 * angles
+    c, s = np.cos(half), np.sin(half)
+    out = np.empty((2,) + angles.shape, dtype=np.complex128)
+    out.real[0] = c
+    out.imag[0] = np.where(rz, -s, 0.0)
+    out.real[1] = np.where(rz, c, 0.0)
+    out.imag[1] = np.where(rz, s, -s)
+    return out
+
+
+class _StatePlan:
+    """Everything of a noiseless evolve but the RZ/RX angles, built once
+    per circuit.
+
+    `evolve(X)` gives the final state of the circuit bound to each row of
+    X, as (rows, 2^n) arrays of at most `_BATCH_AMPS` amplitudes (one row
+    once 2^n reaches it).  A row is (gamma_1..gamma_p, beta_1..beta_p), and
+    each parameter angle is scale * float(row entry), as `bind` computes
+    it; a `BoundCircuit` evolves one empty row.
+
+    A CNOT relabels basis states, linearly over GF(2), so the plan does no
+    work for it: the state is held in a frame L, the product of the CNOTs
+    since the last gather, amplitude x of the array being that of basis
+    state Lx.  Qubit k of Lx is the parity of x & (row k of L), so an RZ on
+    qubit k multiplies each amplitude by its first factor where that
+    parity mask is 0 and by its second where it is 1.  Before an H or RX,
+    and at the end, a frame other than the identity is undone by one
+    gather through L^-1.  A QAOA cost term's two CNOT ladders cancel, so
+    its CNOTs cost nothing.  An RX is one pass: its second factor times
+    the amplitudes with bit k flipped, then its first factor times the
+    amplitudes, then their sum.  The leading gates without a parameter
+    (the H wall) evolve once, into a prefix row that each chunk copies.
+
+    Each amplitude still takes every gate's multiplies and adds, with the
+    same operands in the same order as when the gates are applied one by
+    one, so the states are the same bits.  The masks and gather indices
+    are held, in first-use order, while they fit in the bytes of one
+    chunk of amplitudes; the rest are rebuilt in each chunk.
     """
-    n = circuit.n_qubits
-    first = {"gamma": 0, "beta": getattr(circuit, "p", 0)}
-    step = max(1, _BATCH_AMPS >> n)
-    for start in range(0, len(X), step):
-        chunk = X[start:start + step]
-        pairs: Dict[Tuple, Tuple[np.ndarray, np.ndarray]] = {}
-        factors = []
+
+    def __init__(self, circuit: Union[ParamCircuit, BoundCircuit]):
+        n = circuit.n_qubits
+        first = {"gamma": 0, "beta": getattr(circuit, "p", 0)}
+        identity = [1 << k for k in range(n)]
+        # the frame: rows[k] is row k of L, cols[j] column j of L^-1
+        rows, cols = identity[:], identity[:]
+        rotations: Dict[Tuple[bool, int, float], int] = {}
+        steps: List[Tuple] = []
+
+        def gather():
+            if rows != identity:
+                steps.append(("gather", None, tuple(cols), None))
+                rows[:], cols[:] = identity, identity
+
         for g in circuit.gates:
-            key = (g.kind, g.param)
-            if g.param is not None and key not in pairs:
+            if g.kind == "CNOT":
+                c, t = g.qubits
+                rows[t] ^= rows[c]
+                cols[c] ^= cols[t]
+                continue
+            k, f = g.qubits[0], None
+            if g.param is not None:
                 family, level, scale = g.param
-                col = first[family] + level
-                rows = [_rotation(g.kind, scale * float(x[col])) for x in chunk]
-                pairs[key] = tuple(np.array(f, dtype=np.complex128).reshape(-1, 1, 1)
-                                   for f in zip(*rows))
-            factors.append(pairs.get(key))
-        states = np.zeros((len(chunk), 1 << n), dtype=np.complex128)
+                f = rotations.setdefault((g.kind == "RZ", first[family] + level, scale),
+                                         len(rotations))
+            elif g.kind != "H":
+                f = _rotation_factors(np.array(g.kind == "RZ"), np.array([g.angle]))
+            if g.kind == "RZ":
+                steps.append(("RZ", None, tuple(bool(rows[k] >> j & 1) for j in range(n)), f))
+            else:
+                gather()
+                steps.append((g.kind, k, None, f))
+        gather()
+        self._rz = np.array([rz for rz, _, _ in rotations], dtype=bool)
+        self._cols = np.array([col for _, col, _ in rotations], dtype=np.int64)
+        self._scales = np.array([scale for _, _, scale in rotations])
+        self._n = n
+        room = 16 * _BATCH_AMPS
+        self._prefix = None
+        if 16 << n <= room:
+            cut = next((i for i, step in enumerate(steps) if type(step[3]) is int),
+                       len(steps))
+            self._prefix = self._run(self._zero(1), steps[:cut], None)
+            steps, room = steps[cut:], room - (16 << n)
+        held: Dict[Tuple, Optional[np.ndarray]] = {}
+        for op, _, spec, _ in steps:
+            if spec is not None and (op, spec) not in held:
+                size = np.array(spec).itemsize << n
+                if size <= room:
+                    held[op, spec] = None
+                    room -= size
+        for op in ("RZ", "gather"):
+            specs = [spec for kind, spec in held if kind == op]
+            if specs:
+                held.update(zip([(op, spec) for spec in specs], _span(np.array(specs).T)))
+        self._steps = [(op, k, held.get((op, spec), spec), f) for op, k, spec, f in steps]
+        self.chunk = max(1, _BATCH_AMPS >> n)
+
+    @staticmethod
+    def _run(states: np.ndarray, steps: Sequence[Tuple],
+             F: Optional[np.ndarray]) -> np.ndarray:
+        """Apply `steps` to each row of `states`, shape (rows, 2^n); a
+        parameter rotation r takes row i's factors from F[:, i, r].
+        Returns the states, gathered or not."""
+        rows = len(states)
+        for op, k, table, f in steps:
+            if type(f) is int:
+                f = F[:, :, f]
+            if type(table) is tuple:  # not held: rebuilt for this chunk
+                table = _span(np.array(table))
+            if op == "RZ":
+                states *= np.where(table, f[1, :, None], f[0, :, None])
+            elif op == "gather":
+                states = states[:, table]
+            else:
+                v = states.reshape(rows, -1, 2, 1 << k)
+                if op == "RX":
+                    tmp = f[1, :, None, None, None] * v[:, :, ::-1]
+                    v *= f[0, :, None, None, None]
+                    v += tmp
+                else:
+                    s0, s1 = v[:, :, 0], v[:, :, 1]
+                    tmp = s0.copy()
+                    s0 += s1
+                    s0 *= _SQRT_HALF
+                    s1 *= -1.0
+                    s1 += tmp
+                    s1 *= _SQRT_HALF
+                del tmp  # so that one temporary is live at a time
+        return states
+
+    def _zero(self, rows: int) -> np.ndarray:
+        states = np.zeros((rows, 1 << self._n), dtype=np.complex128)
         states[:, 0] = 1.0
-        for g, f in zip(circuit.gates, factors):
-            _apply_unitary(states, n, g, f)
-        yield from states
+        return states
+
+    def evolve(self, X: np.ndarray) -> Iterator[np.ndarray]:
+        """The final states of the rows of X, a chunk of rows at a time."""
+        X = np.asarray(X, dtype=np.float64)
+        F = _rotation_factors(self._rz, X[:, self._cols] * self._scales)
+        for start in range(0, len(X), self.chunk):
+            f = F[:, start:start + self.chunk]
+            rows = f.shape[1]
+            states = (self._zero(rows) if self._prefix is None
+                      else np.repeat(self._prefix, rows, axis=0))
+            yield self._run(states, self._steps, f)
 
 
 @functools.lru_cache(maxsize=1 << 14)
@@ -738,8 +809,15 @@ def _distributions(circuit: Union[ParamCircuit, BoundCircuit], nm: NoiseModel
     engine; it checks the width and builds the density plan once."""
     check_width(circuit.n_qubits, nm)
     if not any(_noise_active(nm)):
-        return lambda X: (state.real ** 2 + state.imag ** 2
-                          for state in _bound_states(circuit, X))
+        states = _StatePlan(circuit)
+
+        def rows(X):
+            for chunk in states.evolve(X):
+                probs = chunk.real ** 2
+                probs += chunk.imag ** 2
+                yield from probs
+
+        return rows
     plan = _DensityPlan(circuit, nm)
     # diag(rho) in basis-index order; clip rounding below zero
     return lambda X: (np.maximum(coords, 0.0) for coords in plan.evolve(X))

@@ -281,6 +281,9 @@ def test_each_presolve_starts_with_an_empty_memo(monkeypatch):
     # the second call met the same clauses and stored each one again
     assert second.memo is not first.memo
     assert len(second.memo) == len(first.memo) > 0
+    # verdicts with no records and no error share one value
+    empty = [v for v in first.memo.values() if v == ((), None)]
+    assert empty and all(v is empty[0] for v in empty)
 
 
 def _presolve_of(polys):

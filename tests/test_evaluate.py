@@ -210,7 +210,7 @@ def test_sweep_checks_settings_before_any_training(monkeypatch, system_143):
         calls.append(args)
         raise RuntimeError("trained before the settings were checked")
 
-    monkeypatch.setattr("vqf.evaluate.train_qaoa", no_training)
+    monkeypatch.setattr("vqf.evaluate._train", no_training)
     # a level above 1 is not a noise scale
     with pytest.raises(InvalidConfig):
         sweep(system_143, [DIRECT], [1], [1.5], _tiny_cfg())

@@ -2,8 +2,10 @@
 
 The channel tests compare the density-matrix engine's output
 probabilities with closed forms, and the whole engine entry by entry with
-a Kraus/Pauli reference computed independently in this file.  Noisy
-sampling is checked to draw every shot from the density diagonal.
+a Kraus/Pauli reference computed independently in this file.  The
+noiseless statevector plan is compared byte for byte with the per-gate
+loop it replaced, kept here as `_reference_state`.  Noisy sampling is
+checked to draw every shot from the density diagonal.
 """
 
 import dataclasses
@@ -415,12 +417,67 @@ def _candidates(p, rows, seed):
     return np.vstack([x, edges])
 
 
+def _reference_state(circuit):
+    """The final state of a bound circuit, gate by gate, as the engine
+    computed it before the statevector plan: a CNOT swaps the target-bit
+    slices of the control-1 subspace, and H, RZ and RX act in place on the
+    two slices of their qubit.  The plan applies the same multiplies and
+    adds to each amplitude in the same order, so it must give these bytes;
+    a moved rounding shows here long before it moves a sampled shot."""
+    n = circuit.n_qubits
+    state = np.zeros(1 << n, dtype=np.complex128)
+    state[0] = 1.0
+    for g in circuit.gates:
+        if g.kind == "CNOT":
+            c, t = g.qubits
+            hi, lo = max(c, t), min(c, t)
+            v = state.reshape(1 << (n - 1 - hi), 2, 1 << (hi - lo - 1), 2, 1 << lo)
+            if c > t:
+                a = v[:, 1, :, 0, :].copy()
+                v[:, 1, :, 0, :] = v[:, 1, :, 1, :]
+                v[:, 1, :, 1, :] = a
+            else:
+                a = v[:, 0, :, 1, :].copy()
+                v[:, 0, :, 1, :] = v[:, 1, :, 1, :]
+                v[:, 1, :, 1, :] = a
+            continue
+        k = g.qubits[0]
+        v = state.reshape(1 << (n - k - 1), 2, 1 << k)
+        s0, s1 = v[:, 0, :], v[:, 1, :]
+        if g.kind == "H":
+            tmp = s0.copy()
+            s0 += s1
+            s0 *= 1.0 / np.sqrt(2.0)
+            s1 *= -1.0
+            s1 += tmp
+            s1 *= 1.0 / np.sqrt(2.0)
+            continue
+        half = 0.5 * g.angle
+        if g.kind == "RZ":
+            s0 *= complex(np.cos(half), -np.sin(half))
+            s1 *= complex(np.cos(half), np.sin(half))
+        else:
+            f0, f1 = np.cos(half), -1j * np.sin(half)
+            tmp = s0.copy()
+            s0 *= f0
+            s0 += f1 * s1
+            s1 *= f0
+            s1 += f1 * tmp
+    return state
+
+
 def _assert_rows_equal_bound(circuit, X):
+    """Every row of one `_StatePlan` has the bytes of `_reference_state` of
+    the bound circuit, and so has that circuit's own plan."""
     p = circuit.p
-    states = list(sim._bound_states(circuit, X))
+    plan = sim._StatePlan(circuit)
+    states = [row for chunk in plan.evolve(X) for row in chunk]
     assert len(states) == len(X)
     for x, state in zip(X, states):
-        assert np.array_equal(state, simulate_statevector(circuit.bind(x[:p], x[p:])))
+        bound = circuit.bind(x[:p], x[p:])
+        want = _reference_state(bound).tobytes()
+        assert state.tobytes() == want
+        assert simulate_statevector(bound).tobytes() == want
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -440,10 +497,120 @@ def test_batched_states_equal_bound_statevectors_at_9_qubits(system_291311):
 @pytest.mark.parametrize("rows_per_chunk", [3, 0])
 def test_batched_states_cross_chunk_boundaries(system_143, monkeypatch, rows_per_chunk):
     # 10 rows in chunks of 3, 3, 3, 1; at a budget below one state, one
-    # row at a time, as wide registers run
+    # row at a time, as wide registers run, with nothing held: the prefix
+    # gates and every mask rebuilt in each chunk
     circuit = compile_qaoa(to_hamiltonian(apply_transform(system_143, DIRECT)[0]), 2)
     monkeypatch.setattr(sim, "_BATCH_AMPS", rows_per_chunk << circuit.n_qubits)
+    plan = sim._StatePlan(circuit)
+    assert plan.chunk == max(1, rows_per_chunk)
+    assert (plan._prefix is None) == (rows_per_chunk == 0)
     _assert_rows_equal_bound(circuit, _candidates(2, 6, 8))
+
+
+# CNOTs outside ladders, H and RX after a CNOT on the same qubit, fixed
+# angles, an idle qubit, no gates, and frames left unresolved at the end
+_CNOT_WEB = BoundCircuit(4, [
+    Gate("H", (0,)), Gate("H", (2,)), Gate("CNOT", (0, 1)), Gate("CNOT", (2, 0)),
+    Gate("RZ", (1,), angle=0.9), Gate("CNOT", (1, 3)), Gate("RZ", (3,), angle=-1.7),
+    Gate("RZ", (0,), angle=0.4), Gate("H", (0,)), Gate("CNOT", (3, 2)),
+    Gate("RX", (2,), angle=2.1), Gate("CNOT", (0, 3)), Gate("CNOT", (3, 1)),
+    Gate("RZ", (1,), angle=-0.0), Gate("RZ", (2,), angle=0.0)])
+_H_AFTER_CNOT = BoundCircuit(3, [Gate("H", (0,)), Gate("CNOT", (0, 1)), Gate("H", (1,)),
+                                 Gate("RZ", (1,), angle=0.3), Gate("CNOT", (1, 0))])
+_IDLE_QUBIT = BoundCircuit(3, [Gate("H", (0,)), Gate("RX", (2,), angle=0.8),
+                               Gate("CNOT", (2, 0)), Gate("RZ", (0,), angle=1.1)])
+
+
+def _random_cnot_circuit(n, gates, seed):
+    rng = np.random.default_rng(seed)
+    out = [Gate("H", (q,)) for q in range(n)]
+    for _ in range(gates):
+        kind = ("H", "RX", "RZ", "CNOT", "CNOT", "CNOT")[rng.integers(6)]
+        if kind == "CNOT":
+            out.append(Gate("CNOT", tuple(int(q) for q in rng.choice(n, 2, replace=False))))
+        else:
+            out.append(Gate(kind, (int(rng.integers(n)),),
+                            None if kind == "H" else float(rng.uniform(-4, 4))))
+    return BoundCircuit(n, out)
+
+
+@pytest.mark.parametrize("circuit", [_CNOT_WEB, _H_AFTER_CNOT, _IDLE_QUBIT, BoundCircuit(2, []),
+                                     BoundCircuit(1, [Gate("RX", (0,), angle=0.5)]),
+                                     _random_cnot_circuit(5, 60, 1),
+                                     _random_cnot_circuit(7, 90, 2)],
+                         ids=["cnot-web", "h-after-cnot", "idle", "empty", "one-qubit",
+                              "random-5", "random-7"])
+def test_bound_statevector_equals_reference_bytes(circuit):
+    want = _reference_state(circuit).tobytes()
+    assert simulate_statevector(circuit).tobytes() == want
+    probs = next(sim._distributions(circuit, QUIET)(np.empty((1, 0))))
+    amps = np.frombuffer(want, dtype=np.complex128)
+    assert probs.tobytes() == (amps.real ** 2 + amps.imag ** 2).tobytes()
+
+
+@pytest.mark.parametrize("batch_amps", [1 << 16, 0], ids=["held", "rebuilt"])
+def test_batched_states_with_fixed_angles_and_loose_cnots(monkeypatch, batch_amps):
+    # fixed-angle gates and CNOTs that no ladder undoes, before, between and
+    # after parameter gates; with nothing held, every gather index is rebuilt
+    monkeypatch.setattr(sim, "_BATCH_AMPS", batch_amps)
+    gates = [Gate("H", (0,)), Gate("RX", (1,), angle=0.4), Gate("CNOT", (0, 1)),
+             Gate("RZ", (1,), param=("gamma", 0, 1.5)), Gate("RZ", (0,), angle=-0.8),
+             Gate("CNOT", (1, 0)), Gate("RX", (1,), param=("beta", 0, 2.0)),
+             Gate("RX", (1,), angle=1.3), Gate("H", (2,)), Gate("RZ", (2,), angle=0.6),
+             Gate("CNOT", (2, 1)), Gate("RZ", (1,), param=("gamma", 0, -0.5)),
+             Gate("CNOT", (0, 2)), Gate("H", (1,)), Gate("CNOT", (1, 2)),
+             Gate("RZ", (2,), param=("gamma", 0, 1.5)), Gate("RX", (2,), param=("beta", 0, 2.0)),
+             Gate("CNOT", (2, 0))]
+    _assert_rows_equal_bound(ParamCircuit(3, gates, 1), _candidates(1, 4, 9))
+
+
+# tracemalloc peak of one 18-qubit row through `_distributions` with the
+# per-gate engine that the statevector plan replaced (numpy 2.4.6, Python
+# 3.11.7), where every CNOT was three slice passes; the plan may add one
+# 2^n index array to it
+_PEAK_18_BEFORE_PLAN = 8_690_352
+
+
+def _two_local_circuit(n, terms, seed):
+    rng = np.random.default_rng(seed)
+    pairs = set()
+    while len(pairs) < terms:
+        pairs.add(tuple(sorted(int(q) for q in rng.choice(n, 2, replace=False))))
+    gates = [Gate("H", (q,)) for q in range(n)]
+    for a, b in sorted(pairs):
+        gates += [Gate("CNOT", (a, b)),
+                  Gate("RZ", (b,), param=("gamma", 0, float(rng.uniform(-2, 2)))),
+                  Gate("CNOT", (a, b))]
+    gates += [Gate("RX", (q,), param=("beta", 0, 2.0)) for q in range(n)]
+    return ParamCircuit(n, gates, 1)
+
+
+def test_wide_evolve_memory_stays_bounded():
+    # a wide register evolves one row at a time and holds at most one
+    # chunk's bytes of masks, so the peak stays that of the per-gate engine
+    # plus one index array, whatever the number of terms
+    import tracemalloc
+    n = 18
+    circuit = _two_local_circuit(n, 3 * n, 0)
+    X = np.array([[0.3, 1.1]])
+    tracemalloc.start()
+    try:
+        probs = next(sim._distributions(circuit, QUIET)(X))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert probs.shape == (1 << n,) and abs(probs.sum() - 1.0) < 1e-9
+    assert peak <= _PEAK_18_BEFORE_PLAN + (8 << n)
+    # at the 24-qubit cap the plan holds no prefix row and no mask; one
+    # qubit more raises before any work
+    plan = sim._StatePlan(_two_local_circuit(24, 72, 0))
+    assert plan._prefix is None
+    assert not any(isinstance(table, np.ndarray) for _, _, table, _ in plan._steps)
+    wide = _two_local_circuit(25, 1, 0)
+    with pytest.raises(TooManyQubits):
+        sim._distributions(wide, QUIET)
+    with pytest.raises(TooManyQubits):
+        simulate_statevector(wide.bind([0.1], [0.2]))
 
 
 # -- channel oracles --------------------------------------------------------------------
